@@ -167,11 +167,6 @@ class Cpt:
         if np.any(np.abs(self.table.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise ValueError(f"CPT rows for {self.child} do not sum to 1")
 
-    def row_index(self, parent_values: Sequence[int]) -> int:
-        if not self.parents:
-            return 0
-        return int(np.ravel_multi_index(tuple(parent_values), self.parent_cards))
-
 
 @dataclass(frozen=True)
 class BayesNet:

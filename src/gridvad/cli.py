@@ -22,10 +22,11 @@ import numpy as np
 
 from . import __version__, bn
 from .explain import explain_object, write_explanation
-from .featurize import GridConfigError
+from .featurize import GridConfigError, generate_observations, with_predecessors
 from .ingest import (
     ConfidenceThresholds,
     TrackFileError,
+    TrackSet,
     compute_confidence_thresholds,
     filter_detections,
     parse_ground_truth,
@@ -36,6 +37,7 @@ from .ingest import (
 )
 from .metrics import evaluate, report_to_dict
 from .pipeline import (
+    ModelBundle,
     TrainConfig,
     load_bundle,
     read_scores,
@@ -119,14 +121,14 @@ def _write_manifest(artifact_path, command: str, config: dict, timings: dict) ->
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _prepared_tracks(path: str, fmt: str, thresholds: ConfidenceThresholds | None,
-                     slice_factor: int = 1):
+def _prepared_tracks(path: str, fmt: str, bundle: ModelBundle) -> TrackSet:
+    """A test stream on the bundle's grid, cut at the bundle's confidence thresholds."""
     tracks = parse_tracks(path, fmt)
-    if thresholds is not None:
-        tracks = filter_detections(tracks, thresholds)
-    if slice_factor > 1:
-        tracks = slice_frames(tracks, slice_factor)
-    return tracks
+    if tracks.resolution != bundle.resolution:
+        raise ValueError(
+            "track stream {} is {}x{} but the model was trained on {}x{} frames".format(
+                path, *tracks.resolution, *bundle.resolution))
+    return filter_detections(tracks, bundle.thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +203,6 @@ def _cmd_train(args) -> int:
     total = time.perf_counter() - started
     save_bundle(bundle, out)
     if args.dump_observations:
-        from .featurize import generate_observations
         for gran in bundle.granularities:
             table = generate_observations(tracks, gran.grid, gran.discretizer,
                                           bundle.kind, bundle.box_mode)
@@ -234,7 +235,7 @@ def _cmd_score(args) -> int:
     threads = int(_resolve(args, config, "threads", os.cpu_count() or 1))
 
     bundle = load_bundle(model_path)
-    tracks = _prepared_tracks(tracks_path, fmt, bundle.thresholds)
+    tracks = _prepared_tracks(tracks_path, fmt, bundle)
     started = time.perf_counter()
     scored, frames = score_frames(bundle, tracks, threads=threads)
     elapsed = time.perf_counter() - started
@@ -290,23 +291,13 @@ def _cmd_explain(args) -> int:
     granularity = _resolve(args, config, "granularity", "finest")
 
     bundle = load_bundle(model_path)
-    tracks = _prepared_tracks(tracks_path, "jsonl", bundle.thresholds)
-    target = None
-    prev = None
-    for det in tracks.detections:
-        if det.track_id == track_id:
-            if det.frame_index == frame:
-                target = det
-                break
-            prev = det
-    if target is None:
-        raise TrackFileError(f"no detection with track id {track_id} in frame {frame}")
-    if prev is not None:
-        from .featurize import box_center
-        scored = score_object(bundle, target, box_center(prev.box),
-                              target.frame_index - prev.frame_index)
+    tracks = _prepared_tracks(tracks_path, "jsonl", bundle)
+    for det, prev_center, frame_gap in with_predecessors(tracks.detections):
+        if det.track_id == track_id and det.frame_index == frame:
+            scored = score_object(bundle, det, prev_center, frame_gap)
+            break
     else:
-        scored = score_object(bundle, target)
+        raise TrackFileError(f"no detection with track id {track_id} in frame {frame}")
     explanation = explain_object(bundle, scored)
     if granularity != "all":
         wanted = (min(bundle.cell_sizes) if granularity == "finest"

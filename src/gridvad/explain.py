@@ -12,42 +12,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import bn
-from .featurize import (
-    ASPECT_CATEGORIES,
-    DIRECTION_CATEGORIES,
-    INTERSECTION_CATEGORIES,
-    SIZE_CATEGORIES,
-    SPATIOTEMPORAL,
-    VELOCITY_CATEGORIES,
-    aspect_category,
-    bottom_edge_cells,
-    box_center,
-    direction_category,
-    intersection_category,
-    motion,
-)
+from .featurize import CATEGORIES, CODES, SPATIOTEMPORAL
 from .pipeline import (
     REASON_UNSEEN_CLASS,
     CellScore,
     GranularityModel,
     ModelBundle,
     ScoredObject,
-    _CODES,
     object_evidence,
 )
-
-_CATEGORY_LABELS = {
-    "I": INTERSECTION_CATEGORIES,
-    "BS": SIZE_CATEGORIES,
-    "BAR": ASPECT_CATEGORIES,
-    "V": VELOCITY_CATEGORIES,
-    "D": DIRECTION_CATEGORIES,
-}
 
 
 @dataclass(frozen=True)
@@ -97,7 +75,7 @@ def _rv_names(kind: str) -> tuple[str, ...]:
 def _labels_for(rv: str, bundle: ModelBundle):
     if rv == "C":
         return bundle.class_ids
-    return _CATEGORY_LABELS[rv]
+    return CATEGORIES[rv]
 
 
 def _breakdown(net, rv: str, evidence: Mapping[str, int], labels,
@@ -143,11 +121,10 @@ def explain_cell(bundle: ModelBundle, cell_size: int, cell: int,
             codes["C"] = idx
             observed_index["C"] = idx
         else:
-            labels = _CATEGORY_LABELS[rv]
-            if value not in labels:
+            if value not in CATEGORIES[rv]:
                 raise ValueError(f"{value!r} is not a {rv} category")
-            codes[rv] = _CODES[rv][value]
-            observed_index[rv] = _CODES[rv][value]
+            codes[rv] = CODES[rv][value]
+            observed_index[rv] = CODES[rv][value]
     breakdowns = {}
     for rv in rvs:
         evidence = {k: v for k, v in codes.items() if k != rv}
@@ -172,7 +149,7 @@ def _unseen_cell_explanation(bundle: ModelBundle, gran: GranularityModel,
 
 
 def explain_object(bundle: ModelBundle, scored: ScoredObject) -> ObjectExplanation:
-    """One cell explanation per bottom-edge cell per granularity.
+    """One cell explanation per occupied cell per granularity.
 
     The aggregation trace (per-cell scores, per-granularity means, fusion)
     is carried over from the scored object. For unseen classes only a
@@ -180,30 +157,13 @@ def explain_object(bundle: ModelBundle, scored: ScoredObject) -> ObjectExplanati
     emitted, tagged with the unseen-class reason.
     """
     cells: list[CellExplanation] = []
-    if scored.reason == REASON_UNSEEN_CLASS:
-        for gran in bundle.granularities:
-            bar = aspect_category(scored.box, gran.discretizer.square_tolerance)
-            labels = {"C": scored.class_id, "BAR": bar}
-            codes = {"BAR": _CODES["BAR"][bar]}
-            if bundle.kind == SPATIOTEMPORAL:
-                if scored.prev_center is None:
-                    d = "none"
-                else:
-                    _, angle = motion(scored.prev_center, box_center(scored.box),
-                                      scored.frame_gap)
-                    d = direction_category(angle)
-                labels["D"] = d
-                codes["D"] = _CODES["D"][d]
-            for cell in bottom_edge_cells(scored.box, gran.grid):
-                i_label = intersection_category(scored.box, cell, gran.grid)
-                evidence = dict(codes, G=cell - 1, I=_CODES["I"][i_label])
-                cells.append(_unseen_cell_explanation(
-                    bundle, gran, cell, evidence, dict(labels, I=i_label)))
-    else:
-        for gran in bundle.granularities:
-            items = object_evidence(bundle, gran, scored.class_id, scored.box,
-                                    scored.prev_center, scored.frame_gap)
-            for cell, _evidence, labels in items:
+    for gran in bundle.granularities:
+        items = object_evidence(bundle, gran, scored.class_id, scored.box,
+                                scored.prev_center, scored.frame_gap)
+        for cell, evidence, labels in items:
+            if scored.reason == REASON_UNSEEN_CLASS:
+                cells.append(_unseen_cell_explanation(bundle, gran, cell, evidence, labels))
+            else:
                 cells.append(explain_cell(bundle, gran.grid.cell_size, cell, labels))
     return ObjectExplanation(scored.frame, scored.track_id, scored.class_id,
                              scored.box, scored.reason, tuple(cells),

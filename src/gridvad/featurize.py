@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .ingest import Box, TrackSet
+from .ingest import Box, TrackedDetection, TrackSet
 
 SPATIAL = "spatial"
 SPATIOTEMPORAL = "spatiotemporal"
@@ -31,6 +31,18 @@ VELOCITY_CATEGORIES = ("idle", "slow", "normal", "fast", "very fast",
                        "super fast", "lightning fast")
 # Eight compass points plus "none" for idle objects and first appearances.
 DIRECTION_CATEGORIES = ("N", "NE", "E", "SE", "S", "SW", "W", "NW", "none")
+
+# The attribute vocabulary shared by training, scoring and explanations:
+# network variable -> labels in code order, and label -> integer code.
+CATEGORIES = {
+    "I": INTERSECTION_CATEGORIES,
+    "BS": SIZE_CATEGORIES,
+    "BAR": ASPECT_CATEGORIES,
+    "V": VELOCITY_CATEGORIES,
+    "D": DIRECTION_CATEGORIES,
+}
+CODES = {rv: {label: i for i, label in enumerate(labels)}
+         for rv, labels in CATEGORIES.items()}
 
 DEFAULT_SQUARE_TOLERANCE = 0.1
 DEFAULT_IDLE_SPEED = 0.5  # px/frame
@@ -192,6 +204,25 @@ def motion(prev_center: tuple[float, float], cur_center: tuple[float, float],
     return speed, math.degrees(math.atan2(-dy, dx))
 
 
+def with_predecessors(detections: Iterable[TrackedDetection]) -> Iterator[
+        tuple[TrackedDetection, tuple[float, float] | None, int | None]]:
+    """Pair each detection with its track's previous surviving detection.
+
+    Yields (detection, previous box center, frame gap) in input order, or
+    (detection, None, None) on a track's first appearance. Detections must
+    be frame-sorted, as in a TrackSet; the gap is the true frame distance,
+    so motion stays comparable between sliced and unsliced streams.
+    """
+    last: dict[int, tuple[int, tuple[float, float]]] = {}
+    for det in detections:
+        prev = last.get(det.track_id)
+        if prev is None:
+            yield det, None, None
+        else:
+            yield det, prev[1], det.frame_index - prev[0]
+        last[det.track_id] = (det.frame_index, box_center(det.box))
+
+
 def fit_discretizer(train: TrackSet, *,
                     square_tolerance: float = DEFAULT_SQUARE_TOLERANCE,
                     idle_speed: float = DEFAULT_IDLE_SPEED) -> DiscretizationModel:
@@ -205,15 +236,12 @@ def fit_discretizer(train: TrackSet, *,
         raise ValueError("cannot fit a discretizer on an empty track set")
     areas: dict[int, list[float]] = {}
     speeds: dict[int, list[float]] = {}
-    last: dict[int, tuple[int, tuple[float, float]]] = {}
-    for det in train.detections:
+    for det, prev_center, frame_gap in with_predecessors(train.detections):
         areas.setdefault(det.class_id, []).append(box_area(det.box))
-        prev = last.get(det.track_id)
-        if prev is not None:
-            speed, _ = motion(prev[1], box_center(det.box), det.frame_index - prev[0])
+        if prev_center is not None:
+            speed, _ = motion(prev_center, box_center(det.box), frame_gap)
             if speed > idle_speed:
                 speeds.setdefault(det.class_id, []).append(speed)
-        last[det.track_id] = (det.frame_index, box_center(det.box))
     per_class: dict[int, ClassStats] = {}
     for class_id in sorted(areas):
         a = np.asarray(areas[class_id], dtype=float)
@@ -296,8 +324,7 @@ def direction_category(angle: float | None) -> str:
     return _COMPASS[idx]
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One training-table row: a full attribute assignment for a (box, cell) pair."""
 
     frame: int
@@ -324,40 +351,56 @@ class ObservationTable:
                              o.aspect, o.velocity or "", o.direction or ""))
 
 
+def cell_labels(class_id: int, box: Box, prev_center: tuple[float, float] | None,
+                frame_gap: int | None, grid: GridSpec, model: DiscretizationModel,
+                kind: str = SPATIOTEMPORAL,
+                box_mode: str = BOX_MODE_BOTTOM) -> list[tuple[int, dict[str, str]]]:
+    """Attribute labels of one detection, for every cell it occupies.
+
+    Returns (cell, labels) pairs, labels keyed by network variable in the
+    order BS, BAR, V, D, I. Bottom mode visits only the cells under the
+    box's bottom edge; whole mode visits every intersecting cell. V and D
+    exist for spatio-temporal models only: a first appearance, or motion
+    at or below the idle speed, is idle with direction "none". A class
+    without training statistics gets no BS or V label.
+    """
+    known = model.knows(class_id)
+    labels = {}
+    if known:
+        labels["BS"] = size_category(box_area(box), class_id, model)
+    labels["BAR"] = aspect_category(box, model.square_tolerance)
+    if kind == SPATIOTEMPORAL:
+        speed, angle = (0.0, None) if prev_center is None else motion(
+            prev_center, box_center(box), frame_gap)
+        idle = prev_center is None or speed <= model.idle_speed
+        if known:
+            labels["V"] = "idle" if idle else velocity_category(speed, class_id, model)
+        labels["D"] = "none" if idle else direction_category(angle)
+    cells = (bottom_edge_cells(box, grid) if box_mode == BOX_MODE_BOTTOM
+             else covered_cells(box, grid))
+    return [(cell, dict(labels, I=intersection_category(box, cell, grid)))
+            for cell in cells]
+
+
 def generate_observations(tracks: TrackSet, grid: GridSpec, model: DiscretizationModel,
                           kind: str = SPATIOTEMPORAL,
                           box_mode: str = BOX_MODE_BOTTOM) -> ObservationTable:
-    """Emit one observation per (detection, cell) intersection.
+    """Emit one observation per (detection, cell) pair from :func:`cell_labels`.
 
-    Bottom mode visits only the cells under the box's bottom edge; whole
-    mode visits every intersecting cell (the noisier ablation variant).
-    Temporal attributes use the track's previous surviving detection; a
-    track's first appearance is idle with direction "none".
+    Temporal attributes use the track's previous surviving detection.
+    Every class must have training statistics in ``model``.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     if box_mode not in BOX_MODES:
         raise ValueError(f"unknown box mode {box_mode!r}")
-    temporal = kind == SPATIOTEMPORAL
     rows: list[Observation] = []
-    last: dict[int, tuple[int, tuple[float, float]]] = {}
-    for det in tracks.detections:
-        bs = size_category(box_area(det.box), det.class_id, model)
-        bar = aspect_category(det.box, model.square_tolerance)
-        v = d = None
-        if temporal:
-            prev = last.get(det.track_id)
-            if prev is None:
-                v, d = "idle", "none"
-            else:
-                speed, angle = motion(prev[1], box_center(det.box), det.frame_index - prev[0])
-                v = velocity_category(speed, det.class_id, model)
-                d = "none" if v == "idle" else direction_category(angle)
-            last[det.track_id] = (det.frame_index, box_center(det.box))
-        cells = (bottom_edge_cells(det.box, grid) if box_mode == BOX_MODE_BOTTOM
-                 else covered_cells(det.box, grid))
-        for cell in cells:
-            rows.append(Observation(det.frame_index, cell, det.class_id,
-                                    intersection_category(det.box, cell, grid),
-                                    bs, bar, v, d))
+    for det, prev_center, frame_gap in with_predecessors(tracks.detections):
+        if not model.knows(det.class_id):
+            raise UnseenClassError(det.class_id)
+        for cell, labels in cell_labels(det.class_id, det.box, prev_center, frame_gap,
+                                        grid, model, kind, box_mode):
+            rows.append(Observation(det.frame_index, cell, det.class_id, labels["I"],
+                                    labels["BS"], labels["BAR"], labels.get("V"),
+                                    labels.get("D")))
     return ObservationTable(kind, tuple(rows))

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -59,16 +57,6 @@ class TrackSet:
     frame_count: int
     detections: tuple[TrackedDetection, ...]
 
-    @cached_property
-    def by_frame(self) -> dict[int, tuple[TrackedDetection, ...]]:
-        out: dict[int, list[TrackedDetection]] = {}
-        for det in self.detections:
-            out.setdefault(det.frame_index, []).append(det)
-        return {f: tuple(dets) for f, dets in out.items()}
-
-    def class_ids(self) -> tuple[int, ...]:
-        return tuple(sorted({d.class_id for d in self.detections}))
-
 
 @dataclass(frozen=True)
 class ConfidenceThresholds:
@@ -95,13 +83,6 @@ class GroundTruth:
     """Annotated anomalous regions; a frame is anomalous iff it has >= 1 region."""
 
     regions: tuple[GtRegion, ...]
-
-    @cached_property
-    def by_frame(self) -> dict[int, tuple[GtRegion, ...]]:
-        out: dict[int, list[GtRegion]] = {}
-        for r in self.regions:
-            out.setdefault(r.frame, []).append(r)
-        return {f: tuple(rs) for f, rs in out.items()}
 
     def track_sizes(self) -> dict[int, int]:
         sizes: dict[int, int] = {}

@@ -22,34 +22,22 @@ import numpy as np
 
 from . import bn
 from .featurize import (
-    ASPECT_CATEGORIES,
     BOX_MODE_BOTTOM,
     BOX_MODES,
+    CODES,
     DEFAULT_IDLE_SPEED,
     DEFAULT_SQUARE_TOLERANCE,
-    DIRECTION_CATEGORIES,
-    INTERSECTION_CATEGORIES,
-    SIZE_CATEGORIES,
     SPATIOTEMPORAL,
     MODEL_KINDS,
-    VELOCITY_CATEGORIES,
     ClassStats,
     DiscretizationModel,
     GridSpec,
     ObservationTable,
-    UnseenClassError,
-    aspect_category,
-    bottom_edge_cells,
-    box_area,
-    box_center,
     build_grid,
-    direction_category,
+    cell_labels,
     fit_discretizer,
     generate_observations,
-    intersection_category,
-    motion,
-    size_category,
-    velocity_category,
+    with_predecessors,
 )
 from .ingest import ConfidenceThresholds, TrackSet, TrackedDetection
 
@@ -62,15 +50,6 @@ FUSION_RULES = (FUSION_MEAN, FUSION_MIN)
 
 REASON_UNSEEN_CLASS = "unseen-class"
 REASON_IMPOSSIBLE = "impossible-evidence"
-
-_CODES = {
-    "I": {label: i for i, label in enumerate(INTERSECTION_CATEGORIES)},
-    "BS": {label: i for i, label in enumerate(SIZE_CATEGORIES)},
-    "BAR": {label: i for i, label in enumerate(ASPECT_CATEGORIES)},
-    "V": {label: i for i, label in enumerate(VELOCITY_CATEGORIES)},
-    "D": {label: i for i, label in enumerate(DIRECTION_CATEGORIES)},
-}
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -172,13 +151,13 @@ def observation_columns(table: ObservationTable, class_ids: Sequence[int]) -> di
     cols = {
         "G": np.fromiter((o.cell - 1 for o in rows), np.int64, n),
         "C": np.fromiter((index[o.class_id] for o in rows), np.int64, n),
-        "I": np.fromiter((_CODES["I"][o.intersection] for o in rows), np.int64, n),
-        "BS": np.fromiter((_CODES["BS"][o.box_size] for o in rows), np.int64, n),
-        "BAR": np.fromiter((_CODES["BAR"][o.aspect] for o in rows), np.int64, n),
+        "I": np.fromiter((CODES["I"][o.intersection] for o in rows), np.int64, n),
+        "BS": np.fromiter((CODES["BS"][o.box_size] for o in rows), np.int64, n),
+        "BAR": np.fromiter((CODES["BAR"][o.aspect] for o in rows), np.int64, n),
     }
     if table.kind == SPATIOTEMPORAL:
-        cols["V"] = np.fromiter((_CODES["V"][o.velocity] for o in rows), np.int64, n)
-        cols["D"] = np.fromiter((_CODES["D"][o.direction] for o in rows), np.int64, n)
+        cols["V"] = np.fromiter((CODES["V"][o.velocity] for o in rows), np.int64, n)
+        cols["D"] = np.fromiter((CODES["D"][o.direction] for o in rows), np.int64, n)
     return cols
 
 
@@ -229,35 +208,20 @@ def object_evidence(bundle: ModelBundle, gran: GranularityModel, class_id: int,
                     box: tuple[float, float, float, float],
                     prev_center: tuple[float, float] | None,
                     frame_gap: int | None):
-    """Per bottom-edge cell evidence for one detection at one granularity.
+    """Per-cell evidence for one detection at one granularity.
 
-    Returns a list of (cell, evidence codes, label assignment) or None when
-    the class has no training statistics. Scoring and explanation share
-    this path so their posteriors are bit-identical.
+    Returns a list of (cell, evidence codes, label assignment) for every
+    cell the box occupies under the bundle's box mode, the cells training
+    saw. A class without training statistics gets no BS or V evidence.
+    Scoring and explanation share this path so their posteriors are
+    bit-identical.
     """
-    disc = gran.discretizer
-    if not disc.knows(class_id):
-        return None
-    bs = size_category(box_area(box), class_id, disc)
-    bar = aspect_category(box, disc.square_tolerance)
-    labels = {"C": class_id, "BS": bs, "BAR": bar}
-    codes = {"BS": _CODES["BS"][bs], "BAR": _CODES["BAR"][bar]}
-    if bundle.kind == SPATIOTEMPORAL:
-        if prev_center is None:
-            v, d = "idle", "none"
-        else:
-            speed, angle = motion(prev_center, box_center(box), frame_gap)
-            v = velocity_category(speed, class_id, disc)
-            d = "none" if v == "idle" else direction_category(angle)
-        labels["V"], labels["D"] = v, d
-        codes["V"], codes["D"] = _CODES["V"][v], _CODES["D"][d]
     out = []
-    for cell in bottom_edge_cells(box, gran.grid):
-        i_label = intersection_category(box, cell, gran.grid)
-        evidence = dict(codes)
+    for cell, labels in cell_labels(class_id, box, prev_center, frame_gap, gran.grid,
+                                    gran.discretizer, bundle.kind, bundle.box_mode):
+        evidence = {rv: CODES[rv][label] for rv, label in labels.items()}
         evidence["G"] = cell - 1
-        evidence["I"] = _CODES["I"][i_label]
-        out.append((cell, evidence, dict(labels, I=i_label)))
+        out.append((cell, evidence, {"C": class_id, **labels}))
     return out
 
 
@@ -275,9 +239,9 @@ def score_object(bundle: ModelBundle, det: TrackedDetection,
     """Probability of the detection's class given its attributes.
 
     Per granularity the score is the mean of P(C = class | evidence) over
-    the bottom-edge cells; granularities are then fused. A class unseen in
-    training or evidence impossible under every network yields 0.0 with a
-    matching reason code.
+    the cells the box occupies; granularities are then fused. A class
+    unseen in training or evidence impossible under every network yields
+    0.0 with a matching reason code.
     """
     base = dict(frame=det.frame_index, track_id=det.track_id, class_id=det.class_id,
                 box=det.box, prev_center=prev_center, frame_gap=frame_gap)
@@ -332,19 +296,10 @@ def score_frames(bundle: ModelBundle, test: TrackSet,
     pre-pass so scoring itself can run on multiple threads with a
     deterministic, frame-ordered merge.
     """
-    jobs = []
-    last: dict[int, tuple[int, tuple[float, float]]] = {}
-    for det in test.detections:
-        prev = last.get(det.track_id)
-        if prev is None:
-            jobs.append((det, None, None))
-        else:
-            jobs.append((det, prev[1], det.frame_index - prev[0]))
-        last[det.track_id] = (det.frame_index, box_center(det.box))
+    jobs = list(with_predecessors(test.detections))
 
     def run(job):
-        det, prev_center, gap = job
-        return score_object(bundle, det, prev_center, gap)
+        return score_object(bundle, *job)
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -89,6 +89,28 @@ class TestExitCodes:
         assert run_cli("train") == 2
 
 
+class TestResolutionCheck:
+    @pytest.mark.parametrize("command", ["score", "explain"])
+    @pytest.mark.parametrize("width,height", [(1280, 720), (320, 180)])
+    def test_stream_on_another_grid_is_usage_error(self, workspace, tmp_path, capsys,
+                                                   command, width, height):
+        trained = json.loads((workspace / "model.bundle").read_text())["resolution"]
+        tracks = tmp_path / "tracks.jsonl"
+        tracks.write_text("\n".join(json.dumps(row) for row in (
+            {"width": width, "height": height, "frames": 1},
+            {"frame": 1, "id": 0, "class": 1, "conf": 0.9,
+             "box": [width - 30, height - 60, width - 10, height - 1]})) + "\n")
+        args = ["--model", workspace / "model.bundle", "--tracks", tracks,
+                "--out", tmp_path / "out.json"]
+        if command == "explain":
+            args += ["--frame", 1, "--track-id", 0]
+        assert run_cli(command, *args) == 2
+        err = capsys.readouterr().err
+        assert f"{width}x{height}" in err
+        assert "{}x{}".format(*trained) in err
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         data = tmp_path / "data"

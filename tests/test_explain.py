@@ -105,6 +105,17 @@ class TestExplainObject:
             assert breakdown.observed_probability == 0.0
             assert breakdown.rank == len(breakdown.labels) + 1
 
+    def test_unseen_class_direction_uses_idle_cutoff(self, walk_bundle):
+        # 0.3 px/frame east, below the 0.5 px/frame idle speed: no heading,
+        # whether or not the class was seen in training
+        box = (2.0, 20.0, 20.0, 60.0)  # center (11, 40)
+        for class_id in (1, 17):
+            det = TrackedDetection(2, 9, class_id, box, 0.9)
+            scored = score_object(walk_bundle, det, (10.7, 40.0), 1)
+            explanation = explain_object(walk_bundle, scored)
+            assert explanation.cells
+            assert {c.assignment["D"] for c in explanation.cells} == {"none"}
+
     def test_aggregation_trace_carried_over(self, walk_bundle):
         det = walking_tracks().detections[0]
         scored = score_object(walk_bundle, det)

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridvad import bn
-from gridvad.ingest import ConfidenceThresholds, TrackSet, TrackedDetection
+from gridvad.featurize import BOX_MODES, box_center, generate_observations
+from gridvad.ingest import ConfidenceThresholds, TrackSet, TrackedDetection, filter_detections
 from gridvad.pipeline import (
     REASON_IMPOSSIBLE,
     REASON_UNSEEN_CLASS,
@@ -14,6 +16,8 @@ from gridvad.pipeline import (
     fuse,
     gaussian_smooth,
     load_bundle,
+    object_evidence,
+    observation_columns,
     read_scores,
     save_bundle,
     score_frames,
@@ -129,6 +133,34 @@ class TestScoreObject:
         assert len(cells) >= 1
         assert scored.per_granularity[40] == pytest.approx(
             sum(c.probability for c in cells) / len(cells))
+
+
+class TestObjectEvidence:
+    @pytest.mark.parametrize("box_mode", BOX_MODES)
+    def test_matches_training_rows(self, reference_run, box_mode):
+        """Scoring queries each detection on the cells and codes training saw."""
+        bundle = train(TrainConfig(cell_sizes=(40, 80), box_mode=box_mode),
+                       reference_run["prepared_train"], reference_run["thresholds"])
+        test = filter_detections(reference_run["test_tracks"], reference_run["thresholds"])
+        test = replace(test, detections=tuple(
+            d for d in test.detections if d.class_id in bundle.class_ids))
+        for gran in bundle.granularities:
+            expected = observation_columns(
+                generate_observations(test, gran.grid, gran.discretizer,
+                                      bundle.kind, box_mode), bundle.class_ids)
+            rows = []
+            last = {}
+            for det in test.detections:
+                prev = last.get(det.track_id)
+                last[det.track_id] = det
+                prev_center = None if prev is None else box_center(prev.box)
+                gap = None if prev is None else det.frame_index - prev.frame_index
+                for _cell, evidence, _labels in object_evidence(
+                        bundle, gran, det.class_id, det.box, prev_center, gap):
+                    rows.append(dict(evidence, C=bundle.class_index(det.class_id)))
+            assert len(rows) == len(expected["G"]) > len(test.detections)
+            for rv, column in expected.items():
+                assert [r[rv] for r in rows] == column.tolist(), rv
 
 
 class TestFrameReduction:

@@ -204,11 +204,6 @@ class Factor:
         if self.values.ndim != len(self.scope):
             raise ValueError("factor array rank does not match scope")
 
-    def reduce(self, var: str, value: int) -> "Factor":
-        axis = self.scope.index(var)
-        return Factor(self.scope[:axis] + self.scope[axis + 1:],
-                      np.take(self.values, value, axis=axis))
-
     def marginalize(self, var: str) -> "Factor":
         axis = self.scope.index(var)
         return Factor(self.scope[:axis] + self.scope[axis + 1:],
@@ -225,11 +220,6 @@ def _aligned(factor: Factor, scope: tuple[str, ...]) -> np.ndarray:
     have = set(factor.scope)
     expander = tuple(slice(None) if v in have else None for v in scope)
     return arr[expander]
-
-
-def _cpt_factor(cpt: Cpt, cardinality: int) -> Factor:
-    shape = cpt.parent_cards + (cardinality,)
-    return Factor(cpt.parents + (cpt.child,), cpt.table.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -340,14 +330,15 @@ def eliminate(net: BayesNet, query: str, evidence: Mapping[str, int],
     factors: list[Factor] = []
     constant = 1.0
     for cpt in net.cpts:
-        factor = _cpt_factor(cpt, cards[cpt.child])
-        for var, val in evidence.items():
-            if var in factor.scope:
-                factor = factor.reduce(var, val)
-        if factor.scope:
-            factors.append(factor)
+        # one basic-indexing step fixes every evidence axis: a view, no arithmetic
+        scope = cpt.parents + (cpt.child,)
+        values = cpt.table.reshape(cpt.parent_cards + (cards[cpt.child],))[
+            tuple(evidence.get(v, slice(None)) for v in scope)]
+        scope = tuple(v for v in scope if v not in evidence)
+        if scope:
+            factors.append(Factor(scope, values))
         else:
-            constant *= float(factor.values)
+            constant *= float(values)
     hidden = [n for n in net.dag.names if n != query and n not in evidence]
     if order is None:
         rank = {n: i for i, n in enumerate(net.dag.names)}

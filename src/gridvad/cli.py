@@ -11,8 +11,8 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import platform
 import sys
 import time
@@ -232,12 +232,11 @@ def _cmd_score(args) -> int:
         raise ScriptError("--model and --tracks are required")
     fmt = _resolve(args, config, "format", "jsonl")
     out = Path(_resolve(args, config, "out", "scores.jsonl"))
-    threads = int(_resolve(args, config, "threads", os.cpu_count() or 1))
 
     bundle = load_bundle(model_path)
     tracks = _prepared_tracks(tracks_path, fmt, bundle)
     started = time.perf_counter()
-    scored, frames = score_frames(bundle, tracks, threads=threads)
+    scored, frames = score_frames(bundle, tracks)
     elapsed = time.perf_counter() - started
     write_scores(out, scored, frames)
     cells_queried = sum(len(cs) for s in scored for cs in s.per_cell.values())
@@ -251,7 +250,7 @@ def _cmd_score(args) -> int:
         "frames": len(frames),
     }
     echo = {"model": str(model_path), "tracks": str(tracks_path), "format": fmt,
-            "threads": threads, "out": str(out)}
+            "out": str(out)}
     _write_manifest(out, "score", echo, timings)
     print(f"scored {len(scored)} objects over {len(frames)} frames -> {out}")
     return EXIT_OK
@@ -302,12 +301,8 @@ def _cmd_explain(args) -> int:
     if granularity != "all":
         wanted = (min(bundle.cell_sizes) if granularity == "finest"
                   else int(granularity))
-        explanation = type(explanation)(
-            explanation.frame, explanation.track_id, explanation.class_id,
-            explanation.box, explanation.reason,
-            tuple(c for c in explanation.cells if c.cell_size == wanted),
-            explanation.per_cell, explanation.per_granularity,
-            explanation.fused, explanation.fusion)
+        explanation = dataclasses.replace(
+            explanation, cells=tuple(c for c in explanation.cells if c.cell_size == wanted))
     write_explanation(explanation, out)
     echo = {"model": str(model_path), "tracks": str(tracks_path), "frame": frame,
             "track_id": track_id, "granularity": str(granularity), "out": str(out)}
@@ -358,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tracks", help="test tracks file")
     p.add_argument("--format", choices=("jsonl", "mot"))
     p.add_argument("--out", help="scores output path")
-    p.add_argument("--threads", type=_positive_int, help="worker threads")
+    p.add_argument("--threads", type=_positive_int,
+                   help="accepted for compatibility and ignored; scoring runs on one thread")
     p.add_argument("--config", help="JSON config file; flags take precedence")
     p.set_defaults(func=_cmd_score)
 

@@ -223,9 +223,7 @@ def with_predecessors(detections: Iterable[TrackedDetection]) -> Iterator[
         last[det.track_id] = (det.frame_index, box_center(det.box))
 
 
-def fit_discretizer(train: TrackSet, *,
-                    square_tolerance: float = DEFAULT_SQUARE_TOLERANCE,
-                    idle_speed: float = DEFAULT_IDLE_SPEED) -> DiscretizationModel:
+def fit_discretizer(train: TrackSet) -> DiscretizationModel:
     """Fit per-class area and speed statistics from a training track set.
 
     Speeds are center displacements between consecutive surviving
@@ -240,7 +238,7 @@ def fit_discretizer(train: TrackSet, *,
         areas.setdefault(det.class_id, []).append(box_area(det.box))
         if prev_center is not None:
             speed, _ = motion(prev_center, box_center(det.box), frame_gap)
-            if speed > idle_speed:
+            if speed > DEFAULT_IDLE_SPEED:
                 speeds.setdefault(det.class_id, []).append(speed)
     per_class: dict[int, ClassStats] = {}
     for class_id in sorted(areas):
@@ -252,7 +250,7 @@ def fit_discretizer(train: TrackSet, *,
             speed_mean=float(sp.mean()) if sp.size else 0.0,
             speed_std=float(sp.std()) if sp.size else 0.0,
         )
-    return DiscretizationModel(per_class, square_tolerance, idle_speed)
+    return DiscretizationModel(per_class)
 
 
 def size_category(area: float, class_id: int, model: DiscretizationModel) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -25,8 +24,6 @@ from .featurize import (
     BOX_MODE_BOTTOM,
     BOX_MODES,
     CODES,
-    DEFAULT_IDLE_SPEED,
-    DEFAULT_SQUARE_TOLERANCE,
     SPATIOTEMPORAL,
     MODEL_KINDS,
     ClassStats,
@@ -58,9 +55,6 @@ class TrainConfig:
     box_mode: str = BOX_MODE_BOTTOM
     fusion: str = FUSION_MEAN
     smoothing_sigma: float = 5.0
-    square_tolerance: float = DEFAULT_SQUARE_TOLERANCE
-    idle_speed: float = DEFAULT_IDLE_SPEED
-    structure_edges: tuple[tuple[str, str], ...] | None = None
 
     def __post_init__(self):
         if not self.cell_sizes:
@@ -173,9 +167,7 @@ def train(config: TrainConfig, train_tracks: TrackSet,
     """
     if not train_tracks.detections:
         raise bn.FitError("cannot train on an empty track set")
-    discretizer = fit_discretizer(train_tracks,
-                                  square_tolerance=config.square_tolerance,
-                                  idle_speed=config.idle_speed)
+    discretizer = fit_discretizer(train_tracks)
     class_ids = tuple(sorted(discretizer.per_class))
     fit_seconds: dict[str, float] = {}
     observations: dict[str, int] = {}
@@ -187,8 +179,7 @@ def train(config: TrainConfig, train_tracks: TrackSet,
         dag = bn.build_structure(config.kind,
                                  frame_count=train_tracks.frame_count,
                                  cell_count=grid.cell_count,
-                                 class_count=len(class_ids),
-                                 edges=config.structure_edges)
+                                 class_count=len(class_ids))
         # F never appears as evidence in the anomaly query, so the fitted
         # network drops it and carries P(G) as the marginal cell frequency.
         started = time.perf_counter()
@@ -286,26 +277,14 @@ def gaussian_smooth(values: np.ndarray, sigma: float) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def score_frames(bundle: ModelBundle, test: TrackSet,
-                 threads: int = 1) -> tuple[list[ScoredObject], FrameScores]:
+def score_frames(bundle: ModelBundle, test: TrackSet) -> tuple[list[ScoredObject], FrameScores]:
     """Score every detection and reduce to per-frame anomaly scores.
 
     The raw frame score is the minimum fused probability over the frame's
     objects (1.0 for empty frames). Velocity evidence uses each track's
-    previous detection in the test stream, resolved in a sequential
-    pre-pass so scoring itself can run on multiple threads with a
-    deterministic, frame-ordered merge.
+    previous detection in the test stream.
     """
-    jobs = list(with_predecessors(test.detections))
-
-    def run(job):
-        return score_object(bundle, *job)
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(run, jobs, chunksize=64))
-    else:
-        scored = [run(job) for job in jobs]
+    scored = [score_object(bundle, *job) for job in with_predecessors(test.detections)]
     raw = np.ones(test.frame_count, dtype=float)
     for s in scored:
         raw[s.frame - 1] = min(raw[s.frame - 1], s.fused)
@@ -362,11 +341,39 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
     }
 
 
+def _check_granularity(gran: GranularityModel, resolution: tuple[int, int],
+                       class_ids: tuple[int, ...]) -> None:
+    """Reject a granularity whose grid, cardinalities or classes disagree with the bundle."""
+    grid, cards = gran.grid, gran.net.dag.cardinalities()
+    where = f"bundle granularity with cell_size {grid.cell_size}"
+    expected = build_grid(resolution, grid.cell_size)
+    for name in ("cols", "rows", "resolution"):
+        have, want = getattr(grid, name), getattr(expected, name)
+        if have != want:
+            raise ValueError(f"{where}: grid {name} is {have}, but this cell_size on "
+                             "{}x{} frames gives {}".format(*resolution, want))
+    if cards.get("G") != grid.cell_count:
+        raise ValueError(f"{where}: G has {cards.get('G')} values but the grid has "
+                         f"{grid.cell_count} cells")
+    for rv, card in bn.FIXED_CARDINALITIES.items():
+        if rv in cards and cards[rv] != card:
+            raise ValueError(f"{where}: {rv} has {cards[rv]} values, expected {card}")
+    if cards.get("C") != len(class_ids):
+        raise ValueError(f"{where}: C has {cards.get('C')} values but class_ids lists "
+                         f"{len(class_ids)} classes")
+    known = sorted(gran.discretizer.per_class)
+    if list(class_ids) != known:
+        raise ValueError(f"{where}: class_ids {list(class_ids)} do not match the "
+                         f"discretizer classes {known}")
+
+
 def bundle_from_dict(payload: dict) -> ModelBundle:
     if payload.get("format") != BUNDLE_FORMAT:
         raise ValueError("not a gridvad model bundle")
     if payload.get("version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {payload.get('version')}")
+    resolution = tuple(payload["resolution"])
+    class_ids = tuple(int(c) for c in payload["class_ids"])
     granularities = []
     for g in payload["granularities"]:
         grid = GridSpec(int(g["grid"]["cell_size"]), int(g["grid"]["cols"]),
@@ -386,13 +393,14 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                                tuple(dag.cardinality(p) for p in parents),
                                np.asarray(c["table"], dtype=float),
                                np.asarray(c["observed"], dtype=bool)))
-        granularities.append(GranularityModel(grid, disc, bn.BayesNet(dag, tuple(cpts))))
+        gran = GranularityModel(grid, disc, bn.BayesNet(dag, tuple(cpts)))
+        _check_granularity(gran, resolution, class_ids)
+        granularities.append(gran)
     thresholds = ConfidenceThresholds(payload["thresholds"]["person"],
                                       payload["thresholds"]["other"])
-    return ModelBundle(payload["kind"], tuple(payload["resolution"]),
-                       tuple(int(c) for c in payload["class_ids"]),
-                       tuple(granularities), payload["fusion"],
-                       payload["smoothing_sigma"], payload["box_mode"], thresholds)
+    return ModelBundle(payload["kind"], resolution, class_ids, tuple(granularities),
+                       payload["fusion"], payload["smoothing_sigma"], payload["box_mode"],
+                       thresholds)
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

@@ -197,10 +197,16 @@ class TestEliminate:
         for _ in range(150):
             net = random_net(rng)
             query, evidence = random_query(rng, net)
-            fast = bn.eliminate(net, query, evidence)
-            slow = bn.joint_brute_force(net, query, evidence)
-            assert fast.impossible == slow.impossible
-            assert np.max(np.abs(fast.values - slow.values)) <= 1e-12
+            queries = [(query, evidence)]
+            # the production shape: one variable given all the others
+            full = {n: int(rng.integers(c)) for n, c in net.dag.nodes}
+            queries += [(n, {v: x for v, x in full.items() if v != n})
+                        for n in net.dag.names]
+            for q, ev in queries:
+                fast = bn.eliminate(net, q, ev)
+                slow = bn.joint_brute_force(net, q, ev)
+                assert fast.impossible == slow.impossible
+                assert np.max(np.abs(fast.values - slow.values)) <= 1e-12
 
     def test_order_invariance(self):
         rng = np.random.default_rng(14)

@@ -111,6 +111,34 @@ class TestResolutionCheck:
         assert not (tmp_path / "out.json").exists()
 
 
+def _set_grid(field, value):
+    def corrupt(bundle):
+        bundle["granularities"][0]["grid"][field] = value
+    return corrupt
+
+
+class TestBundleValidation:
+    @pytest.mark.parametrize("corrupt,field", [
+        (lambda b: b["class_ids"].pop(), "class_ids"),
+        (lambda b: b["class_ids"].append(max(b["class_ids"]) + 1), "class_ids"),
+        (_set_grid("resolution", [1280, 720]), "resolution"),
+        (_set_grid("cols", 17), "cols"),
+        (_set_grid("cell_size", 39), "cell_size 39"),
+    ], ids=["class-ids-short", "class-ids-long", "grid-resolution", "grid-cols",
+            "grid-cell-size"])
+    def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
+                                                corrupt, field):
+        bundle = json.loads((workspace / "model.bundle").read_text())
+        corrupt(bundle)
+        bad = tmp_path / "bad.bundle"
+        bad.write_text(json.dumps(bundle))
+        out = tmp_path / "scores.jsonl"
+        assert run_cli("score", "--model", bad, "--out", out,
+                       "--tracks", workspace / "data" / "test_tracks.jsonl") == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         data = tmp_path / "data"

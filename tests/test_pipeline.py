@@ -190,13 +190,13 @@ class TestFrameReduction:
         raw = np.array([0.1, 0.9, 0.4])
         assert np.array_equal(gaussian_smooth(raw, 0.0), raw)
 
-    def test_scoring_deterministic_across_threads(self, mini_bundle):
+    def test_scoring_deterministic_across_reruns(self, mini_bundle):
         test = mini_tracks()
-        scored1, frames1 = score_frames(mini_bundle, test, threads=1)
-        scored4, frames4 = score_frames(mini_bundle, test, threads=4)
-        assert scored1 == scored4
-        assert np.array_equal(frames1.raw, frames4.raw)
-        assert np.array_equal(frames1.smoothed, frames4.smoothed)
+        scored1, frames1 = score_frames(mini_bundle, test)
+        scored2, frames2 = score_frames(mini_bundle, test)
+        assert scored1 == scored2
+        assert np.array_equal(frames1.raw, frames2.raw)
+        assert np.array_equal(frames1.smoothed, frames2.smoothed)
 
 
 class TestBundleSerialization:

@@ -12,7 +12,6 @@ from .bn import (
     BayesNet,
     Cpt,
     Dag,
-    Factor,
     Posterior,
     build_structure,
     class_cpt_query,

@@ -5,11 +5,12 @@ probability table (CPT) per node. Fitting is plain maximum likelihood:
 P(child = x | parents = pi) = count(x, pi) / count(pi), with parent
 configurations never seen in training flagged and filled uniformly.
 
-Posterior queries run exact variable elimination: reduce every CPT factor
-by the evidence, repeatedly multiply out and sum over hidden variables in
-min-degree order, and normalize what remains over the query variable.
-``joint_brute_force`` enumerates the full joint instead and exists purely
-as an independent oracle for the elimination path.
+Posterior queries are exact: every CPT is reduced by the evidence and the
+remaining tables are multiplied and summed over the hidden variables in one
+``np.einsum`` contraction, then normalized over the query variable. The
+cost grows with the product of the cardinalities of the query and the
+variables summed out. ``joint_brute_force`` enumerates the full joint
+instead and exists purely as an independent oracle for ``eliminate``.
 """
 
 from __future__ import annotations
@@ -194,35 +195,6 @@ class BayesNet:
 
 
 @dataclass(frozen=True)
-class Factor:
-    """Non-negative function over an ordered variable scope, stored densely."""
-
-    scope: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != len(self.scope):
-            raise ValueError("factor array rank does not match scope")
-
-    def marginalize(self, var: str) -> "Factor":
-        axis = self.scope.index(var)
-        return Factor(self.scope[:axis] + self.scope[axis + 1:],
-                      self.values.sum(axis=axis))
-
-    def multiply(self, other: "Factor") -> "Factor":
-        scope = self.scope + tuple(v for v in other.scope if v not in self.scope)
-        return Factor(scope, _aligned(self, scope) * _aligned(other, scope))
-
-
-def _aligned(factor: Factor, scope: tuple[str, ...]) -> np.ndarray:
-    axes = [factor.scope.index(v) for v in scope if v in factor.scope]
-    arr = np.transpose(factor.values, axes)
-    have = set(factor.scope)
-    expander = tuple(slice(None) if v in have else None for v in scope)
-    return arr[expander]
-
-
-@dataclass(frozen=True)
 class Posterior:
     """Normalized distribution over a query variable.
 
@@ -297,73 +269,34 @@ def _check_query(net: BayesNet, query: str, evidence: Mapping[str, int]) -> dict
     return cleaned
 
 
-def _min_degree_order(scopes: list[tuple[str, ...]], hidden: list[str],
-                      rank: dict[str, int]) -> list[str]:
-    neighbors: dict[str, set[str]] = {v: set() for v in hidden}
-    hidden_set = set(hidden)
-    for scope in scopes:
-        inside = [v for v in scope if v in hidden_set]
-        for a in inside:
-            neighbors[a].update(b for b in inside if b != a)
-    order = []
-    remaining = set(hidden)
-    while remaining:
-        var = min(remaining, key=lambda v: (len(neighbors[v] & remaining), rank[v]))
-        order.append(var)
-        remaining.discard(var)
-        linked = neighbors[var] & remaining
-        for a in linked:
-            neighbors[a].update(b for b in linked if b != a)
-    return order
+def eliminate(net: BayesNet, query: str, evidence: Mapping[str, int]) -> Posterior:
+    """Exact posterior P(query | evidence) as one sum-product contraction.
 
-
-def eliminate(net: BayesNet, query: str, evidence: Mapping[str, int],
-              order: Sequence[str] | None = None) -> Posterior:
-    """Exact posterior P(query | evidence) by variable elimination.
-
-    The elimination order defaults to the min-degree heuristic over the
-    moralized evidence-reduced graph; an explicit ``order`` (any
-    permutation of the hidden variables) yields the same distribution.
+    Each CPT is reduced by the evidence; the fully reduced ones multiply
+    into a scalar and the rest become ``np.einsum`` operands over their
+    remaining variables, summed down to the query. The contraction costs
+    the product of the cardinalities of the query and every variable
+    summed out, so a query that leaves the grid cell G hidden pays for
+    all of G's values at once.
     """
     evidence = _check_query(net, query, evidence)
     cards = net.dag.cardinalities()
-    factors: list[Factor] = []
+    axis = {name: i for i, name in enumerate(net.dag.names)}
+    operands = []
     constant = 1.0
     for cpt in net.cpts:
         # one basic-indexing step fixes every evidence axis: a view, no arithmetic
         scope = cpt.parents + (cpt.child,)
         values = cpt.table.reshape(cpt.parent_cards + (cards[cpt.child],))[
             tuple(evidence.get(v, slice(None)) for v in scope)]
-        scope = tuple(v for v in scope if v not in evidence)
-        if scope:
-            factors.append(Factor(scope, values))
+        free = [axis[v] for v in scope if v not in evidence]
+        if free:
+            operands += [values, free]
         else:
             constant *= float(values)
-    hidden = [n for n in net.dag.names if n != query and n not in evidence]
-    if order is None:
-        rank = {n: i for i, n in enumerate(net.dag.names)}
-        ordering = _min_degree_order([f.scope for f in factors], hidden, rank)
-    else:
-        if sorted(order) != sorted(hidden):
-            raise ValueError(f"elimination order must permute the hidden variables {hidden}")
-        ordering = list(order)
-    for var in ordering:
-        bucket = [f for f in factors if var in f.scope]
-        if not bucket:
-            continue
-        factors = [f for f in factors if var not in f.scope]
-        product = bucket[0]
-        for f in bucket[1:]:
-            product = product.multiply(f)
-        summed = product.marginalize(var)
-        if summed.scope:
-            factors.append(summed)
-        else:
-            constant *= float(summed.values)
-    unnormalized = np.full(cards[query], constant, dtype=float)
-    for f in factors:
-        # everything left can only range over the query variable
-        unnormalized = unnormalized * f.values
+    # the scalar operand goes first so products associate as constant * CPTs
+    # default optimize=False: a path search costs more than these contractions
+    unnormalized = np.einsum(np.float64(constant), [], *operands, [axis[query]])
     total = unnormalized.sum()
     if total == 0.0:
         return Posterior(np.full(cards[query], 1.0 / cards[query]), impossible=True)

@@ -286,11 +286,12 @@ def _cmd_explain(args) -> int:
         raise ScriptError("--model and --tracks are required")
     frame = int(_resolve(args, config, "frame", 0))
     track_id = int(_resolve(args, config, "track_id", -1))
+    fmt = _resolve(args, config, "format", "jsonl")
     out = Path(_resolve(args, config, "out", "explanation.json"))
     granularity = _resolve(args, config, "granularity", "finest")
 
     bundle = load_bundle(model_path)
-    tracks = _prepared_tracks(tracks_path, "jsonl", bundle)
+    tracks = _prepared_tracks(tracks_path, fmt, bundle)
     for det, prev_center, frame_gap in with_predecessors(tracks.detections):
         if det.track_id == track_id and det.frame_index == frame:
             scored = score_object(bundle, det, prev_center, frame_gap)
@@ -304,8 +305,9 @@ def _cmd_explain(args) -> int:
         explanation = dataclasses.replace(
             explanation, cells=tuple(c for c in explanation.cells if c.cell_size == wanted))
     write_explanation(explanation, out)
-    echo = {"model": str(model_path), "tracks": str(tracks_path), "frame": frame,
-            "track_id": track_id, "granularity": str(granularity), "out": str(out)}
+    echo = {"model": str(model_path), "tracks": str(tracks_path), "format": fmt,
+            "frame": frame, "track_id": track_id, "granularity": str(granularity),
+            "out": str(out)}
     _write_manifest(out, "explain", echo, {})
     print(f"object {track_id}@{frame}: score={scored.fused:.6f} "
           f"reason={scored.reason or 'none'} -> {out}")
@@ -368,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="posterior breakdowns for one object")
     p.add_argument("--model", help="model bundle path")
     p.add_argument("--tracks", help="test tracks file")
+    p.add_argument("--format", choices=("jsonl", "mot"), help="tracks format")
     p.add_argument("--frame", type=_positive_int, help="frame index of the object")
     p.add_argument("--track-id", dest="track_id", type=int, help="track id of the object")
     p.add_argument("--granularity", help='"finest" (default), "all" or a cell size')

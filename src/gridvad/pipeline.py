@@ -372,35 +372,38 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
         raise ValueError("not a gridvad model bundle")
     if payload.get("version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {payload.get('version')}")
-    resolution = tuple(payload["resolution"])
-    class_ids = tuple(int(c) for c in payload["class_ids"])
-    granularities = []
-    for g in payload["granularities"]:
-        grid = GridSpec(int(g["grid"]["cell_size"]), int(g["grid"]["cols"]),
-                        int(g["grid"]["rows"]), tuple(g["grid"]["resolution"]))
-        disc_payload = g["discretizer"]
-        per_class = {int(cid): ClassStats(**stats)
-                     for cid, stats in disc_payload["classes"].items()}
-        disc = DiscretizationModel(per_class, disc_payload["square_tolerance"],
-                                   disc_payload["idle_speed"])
-        net_payload = g["net"]
-        dag = bn.Dag(tuple((n, int(c)) for n, c in net_payload["nodes"]),
-                     tuple((a, b) for a, b in net_payload["edges"]))
-        cpts = []
-        for c in net_payload["cpts"]:
-            parents = tuple(c["parents"])
-            cpts.append(bn.Cpt(c["child"], parents,
-                               tuple(dag.cardinality(p) for p in parents),
-                               np.asarray(c["table"], dtype=float),
-                               np.asarray(c["observed"], dtype=bool)))
-        gran = GranularityModel(grid, disc, bn.BayesNet(dag, tuple(cpts)))
-        _check_granularity(gran, resolution, class_ids)
-        granularities.append(gran)
-    thresholds = ConfidenceThresholds(payload["thresholds"]["person"],
-                                      payload["thresholds"]["other"])
-    return ModelBundle(payload["kind"], resolution, class_ids, tuple(granularities),
-                       payload["fusion"], payload["smoothing_sigma"], payload["box_mode"],
-                       thresholds)
+    try:
+        resolution = tuple(payload["resolution"])
+        class_ids = tuple(int(c) for c in payload["class_ids"])
+        granularities = []
+        for g in payload["granularities"]:
+            grid = GridSpec(int(g["grid"]["cell_size"]), int(g["grid"]["cols"]),
+                            int(g["grid"]["rows"]), tuple(g["grid"]["resolution"]))
+            disc_payload = g["discretizer"]
+            per_class = {int(cid): ClassStats(**stats)
+                         for cid, stats in disc_payload["classes"].items()}
+            disc = DiscretizationModel(per_class, disc_payload["square_tolerance"],
+                                       disc_payload["idle_speed"])
+            net_payload = g["net"]
+            dag = bn.Dag(tuple((n, int(c)) for n, c in net_payload["nodes"]),
+                         tuple((a, b) for a, b in net_payload["edges"]))
+            cpts = []
+            for c in net_payload["cpts"]:
+                parents = tuple(c["parents"])
+                cpts.append(bn.Cpt(c["child"], parents,
+                                   tuple(dag.cardinality(p) for p in parents),
+                                   np.asarray(c["table"], dtype=float),
+                                   np.asarray(c["observed"], dtype=bool)))
+            gran = GranularityModel(grid, disc, bn.BayesNet(dag, tuple(cpts)))
+            _check_granularity(gran, resolution, class_ids)
+            granularities.append(gran)
+        thresholds = ConfidenceThresholds(payload["thresholds"]["person"],
+                                          payload["thresholds"]["other"])
+        return ModelBundle(payload["kind"], resolution, class_ids, tuple(granularities),
+                           payload["fusion"], payload["smoothing_sigma"], payload["box_mode"],
+                           thresholds)
+    except KeyError as exc:
+        raise ValueError(f"bundle is missing {exc.args[0]!r}") from None
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

@@ -208,18 +208,6 @@ class TestEliminate:
                 assert fast.impossible == slow.impossible
                 assert np.max(np.abs(fast.values - slow.values)) <= 1e-12
 
-    def test_order_invariance(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            net = random_net(rng)
-            query, evidence = random_query(rng, net)
-            hidden = [n for n in net.dag.names if n != query and n not in evidence]
-            reference = bn.eliminate(net, query, evidence)
-            for _ in range(5):
-                order = list(rng.permutation(hidden))
-                alt = bn.eliminate(net, query, evidence, order=order)
-                assert np.allclose(alt.values, reference.values, atol=1e-12)
-
     def test_deterministic_one_hot(self):
         dag = bn.Dag((("A", 2), ("B", 2)), (("A", "B"),))
         a = bn.Cpt("A", (), (), np.array([[0.0, 1.0]]), np.array([True]))
@@ -271,6 +259,22 @@ class TestClassCptQuery:
         evidence = {"G": 1, "I": 0, "BS": 1, "BAR": 2, "V": 3, "D": 8}
         assert np.array_equal(bn.class_cpt_query(net, evidence).values,
                               bn.eliminate(net, "C", evidence).values)
+
+    def test_detector_network_matches_brute_force(self):
+        net, _ = self.fitted("spatiotemporal")
+        rng = np.random.default_rng(16)
+        queries = []
+        for _ in range(20):
+            full = {n: int(rng.integers(c)) for n, c in net.dag.nodes}
+            queries += [(n, {v: x for v, x in full.items() if v != n})
+                        for n in net.dag.names]
+            # the unseen-class explanation: BS and V summed out
+            queries.append(("C", {v: full[v] for v in ("G", "I", "BAR", "D")}))
+        for q, ev in queries:
+            fast = bn.eliminate(net, q, ev)
+            slow = bn.joint_brute_force(net, q, ev)
+            assert fast.impossible == slow.impossible
+            assert np.max(np.abs(fast.values - slow.values)) <= 1e-12
 
     def test_two_class_scene_prefers_matching_class(self):
         # class 0 always lands in cell 0 with BS bin 1, class 1 in cell 1 / bin 3

@@ -124,8 +124,10 @@ class TestBundleValidation:
         (_set_grid("resolution", [1280, 720]), "resolution"),
         (_set_grid("cols", 17), "cols"),
         (_set_grid("cell_size", 39), "cell_size 39"),
+        (lambda b: b["granularities"][0].pop("grid"), "'grid'"),
+        (lambda b: b.pop("thresholds"), "'thresholds'"),
     ], ids=["class-ids-short", "class-ids-long", "grid-resolution", "grid-cols",
-            "grid-cell-size"])
+            "grid-cell-size", "missing-grid", "missing-thresholds"])
     def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
                                                 corrupt, field):
         bundle = json.loads((workspace / "model.bundle").read_text())
@@ -174,6 +176,25 @@ class TestMotPath:
                        "--cells", "40", "--no-filter",
                        "--out", tmp_path / "mot.bundle") == 0
         assert (tmp_path / "mot.bundle").exists()
+
+    def test_explain_from_mot_csv(self, workspace, tmp_path):
+        rows = (workspace / "data" / "test_tracks.jsonl").read_text().splitlines()
+        lines = ["# " + rows[0]]
+        for row in map(json.loads, rows[1:]):
+            x1, y1, x2, y2 = row["box"]
+            lines.append(f"{row['frame']},{row['id']},{x1},{y1},{x2 - x1},{y2 - y1},"
+                         f"{row['conf']},{row['class']}")
+        mot = tmp_path / "test.mot"
+        mot.write_text("\n".join(lines) + "\n")
+        scores = (workspace / "scores.jsonl").read_text().splitlines()
+        target = next(r for r in map(json.loads, scores) if "score" in r)
+        out = tmp_path / "explanation.json"
+        assert run_cli("explain", "--model", workspace / "model.bundle",
+                       "--tracks", mot, "--format", "mot", "--frame", target["frame"],
+                       "--track-id", target["id"], "--out", out) == 0
+        assert json.loads(out.read_text())["track_id"] == target["id"]
+        manifest = json.loads((tmp_path / "explanation.json.manifest.json").read_text())
+        assert manifest["config"]["format"] == "mot"
 
     def test_observation_dump(self, tmp_path):
         data = tmp_path / "data"

@@ -37,6 +37,8 @@ from .ingest import (
 )
 from .metrics import evaluate, report_to_dict
 from .pipeline import (
+    REASON_IMPOSSIBLE,
+    REASON_UNSEEN_CLASS,
     ModelBundle,
     TrainConfig,
     load_bundle,
@@ -248,6 +250,8 @@ def _cmd_score(args) -> int:
         "cells_queried": cells_queried,
         "objects": len(scored),
         "frames": len(frames),
+        "unseen_class_objects": sum(s.reason == REASON_UNSEEN_CLASS for s in scored),
+        "impossible_objects": sum(s.reason == REASON_IMPOSSIBLE for s in scored),
     }
     echo = {"model": str(model_path), "tracks": str(tracks_path), "format": fmt,
             "out": str(out)}

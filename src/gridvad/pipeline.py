@@ -3,9 +3,11 @@
 ``train`` fits one network per grid granularity and wraps everything into
 a serializable :class:`ModelBundle`. ``score_frames`` queries the bundle
 for every test detection, fuses granularities, reduces objects to frame
-scores and smooths them over time. Objects of classes never seen in
-training score 0.0, as do objects whose attribute combination has zero
-probability under every network.
+scores and smooths them over time. Within one stream each distinct
+(granularity, evidence) pair is queried once and its exact class
+posterior is shared by every cell with that evidence. Objects of classes
+never seen in training score 0.0, as do objects whose attribute
+combination has zero probability under every network.
 """
 
 from __future__ import annotations
@@ -226,14 +228,21 @@ def fuse(values: Sequence[float], rule: str) -> float:
 
 def score_object(bundle: ModelBundle, det: TrackedDetection,
                  prev_center: tuple[float, float] | None = None,
-                 frame_gap: int | None = None) -> ScoredObject:
+                 frame_gap: int | None = None,
+                 posteriors: dict | None = None) -> ScoredObject:
     """Probability of the detection's class given its attributes.
 
     Per granularity the score is the mean of P(C = class | evidence) over
     the cells the box occupies; granularities are then fused. A class
     unseen in training or evidence impossible under every network yields
     0.0 with a matching reason code.
+
+    ``posteriors`` maps (cell size, evidence codes in ``bn.NODE_ORDER``) to
+    the class posterior already queried for that key; each distinct key is
+    queried once and the dict is filled in place. Evidence never holds C,
+    so one posterior serves every class. Without it the call starts empty.
     """
+    posteriors = {} if posteriors is None else posteriors
     base = dict(frame=det.frame_index, track_id=det.track_id, class_id=det.class_id,
                 box=det.box, prev_center=prev_center, frame_gap=frame_gap)
     if bundle.class_index(det.class_id) is None:
@@ -248,7 +257,10 @@ def score_object(bundle: ModelBundle, det: TrackedDetection,
         items = object_evidence(bundle, gran, det.class_id, det.box, prev_center, frame_gap)
         cell_scores = []
         for cell, evidence, _labels in items:
-            posterior = bn.class_cpt_query(gran.net, evidence)
+            key = (gran.grid.cell_size, *(evidence.get(rv) for rv in bn.NODE_ORDER))
+            posterior = posteriors.get(key)
+            if posterior is None:
+                posterior = posteriors[key] = bn.class_cpt_query(gran.net, evidence)
             if posterior.impossible:
                 probability = 0.0
             else:
@@ -282,9 +294,13 @@ def score_frames(bundle: ModelBundle, test: TrackSet) -> tuple[list[ScoredObject
 
     The raw frame score is the minimum fused probability over the frame's
     objects (1.0 for empty frames). Velocity evidence uses each track's
-    previous detection in the test stream.
+    previous detection in the test stream. All detections share one table
+    of class posteriors, so each distinct (granularity, evidence) pair in
+    the stream is queried once.
     """
-    scored = [score_object(bundle, *job) for job in with_predecessors(test.detections)]
+    posteriors: dict = {}
+    scored = [score_object(bundle, *job, posteriors)
+              for job in with_predecessors(test.detections)]
     raw = np.ones(test.frame_count, dtype=float)
     for s in scored:
         raw[s.frame - 1] = min(raw[s.frame - 1], s.fused)
@@ -367,8 +383,24 @@ def _check_granularity(gran: GranularityModel, resolution: tuple[int, int],
                          f"discretizer classes {known}")
 
 
+def _section(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"bundle field {where} must be an object, not {type(value).__name__}")
+    return value
+
+
+def _array(value, dtype, ndim: int, where: str) -> np.ndarray:
+    try:
+        array = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.ndim != ndim:
+        raise ValueError(f"bundle field {where} must be a {ndim}-d array of numbers")
+    return array
+
+
 def bundle_from_dict(payload: dict) -> ModelBundle:
-    if payload.get("format") != BUNDLE_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != BUNDLE_FORMAT:
         raise ValueError("not a gridvad model bundle")
     if payload.get("version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {payload.get('version')}")
@@ -376,34 +408,48 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
         resolution = tuple(payload["resolution"])
         class_ids = tuple(int(c) for c in payload["class_ids"])
         granularities = []
-        for g in payload["granularities"]:
-            grid = GridSpec(int(g["grid"]["cell_size"]), int(g["grid"]["cols"]),
-                            int(g["grid"]["rows"]), tuple(g["grid"]["resolution"]))
-            disc_payload = g["discretizer"]
-            per_class = {int(cid): ClassStats(**stats)
-                         for cid, stats in disc_payload["classes"].items()}
+        for i, g in enumerate(payload["granularities"]):
+            where = f"granularities[{i}]"
+            g = _section(g, where)
+            grid_payload = _section(g["grid"], f"{where}.grid")
+            grid = GridSpec(int(grid_payload["cell_size"]), int(grid_payload["cols"]),
+                            int(grid_payload["rows"]), tuple(grid_payload["resolution"]))
+            disc_payload = _section(g["discretizer"], f"{where}.discretizer")
+            per_class = {int(cid): ClassStats(**stats) for cid, stats in
+                         _section(disc_payload["classes"], f"{where}.discretizer.classes").items()}
             disc = DiscretizationModel(per_class, disc_payload["square_tolerance"],
                                        disc_payload["idle_speed"])
-            net_payload = g["net"]
+            net_payload = _section(g["net"], f"{where}.net")
             dag = bn.Dag(tuple((n, int(c)) for n, c in net_payload["nodes"]),
                          tuple((a, b) for a, b in net_payload["edges"]))
             cpts = []
-            for c in net_payload["cpts"]:
+            for k, c in enumerate(net_payload["cpts"]):
+                at = f"{where}.net.cpts[{k}]"
+                c = _section(c, at)
                 parents = tuple(c["parents"])
+                for parent in parents:
+                    if parent not in dag.names:
+                        raise ValueError(f"bundle field {at}: the CPT for {c['child']!r} "
+                                         f"names undeclared parent {parent!r}")
                 cpts.append(bn.Cpt(c["child"], parents,
                                    tuple(dag.cardinality(p) for p in parents),
-                                   np.asarray(c["table"], dtype=float),
-                                   np.asarray(c["observed"], dtype=bool)))
+                                   _array(c["table"], float, 2, f"{at}.table"),
+                                   _array(c["observed"], bool, 1, f"{at}.observed")))
             gran = GranularityModel(grid, disc, bn.BayesNet(dag, tuple(cpts)))
             _check_granularity(gran, resolution, class_ids)
+            if any(other.grid.cell_size == grid.cell_size for other in granularities):
+                raise ValueError(f"bundle field {where}: cell_size {grid.cell_size} repeats")
             granularities.append(gran)
-        thresholds = ConfidenceThresholds(payload["thresholds"]["person"],
-                                          payload["thresholds"]["other"])
+        thresholds_payload = _section(payload["thresholds"], "thresholds")
+        thresholds = ConfidenceThresholds(thresholds_payload["person"],
+                                          thresholds_payload["other"])
         return ModelBundle(payload["kind"], resolution, class_ids, tuple(granularities),
                            payload["fusion"], payload["smoothing_sigma"], payload["box_mode"],
                            thresholds)
     except KeyError as exc:
         raise ValueError(f"bundle is missing {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"bundle has a field of the wrong type: {exc}") from None
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

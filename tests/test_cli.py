@@ -53,6 +53,14 @@ class TestPipelineComposition:
                     "per_frame_seconds_mean"):
             assert manifest["timings"][key] > 0
 
+    def test_score_manifest_counts_unseen_and_impossible_objects(self, workspace):
+        manifest = json.loads((workspace / "scores.jsonl.manifest.json").read_text())
+        rows = [json.loads(l) for l in (workspace / "scores.jsonl").read_text().splitlines()]
+        reasons = [r["reason"] for r in rows if "score" in r]
+        timings = manifest["timings"]
+        assert timings["unseen_class_objects"] == reasons.count("unseen-class") >= 1
+        assert timings["impossible_objects"] == reasons.count("impossible-evidence") >= 1
+
     def test_explain_writes_breakdowns(self, workspace):
         scores = [json.loads(l) for l in (workspace / "scores.jsonl").read_text().splitlines()]
         anomalous = next(r for r in scores if "score" in r and r["score"] == 0.0)
@@ -117,6 +125,10 @@ def _set_grid(field, value):
     return corrupt
 
 
+def _class_cpt(bundle):
+    return next(c for c in bundle["granularities"][0]["net"]["cpts"] if c["child"] == "C")
+
+
 class TestBundleValidation:
     @pytest.mark.parametrize("corrupt,field", [
         (lambda b: b["class_ids"].pop(), "class_ids"),
@@ -126,8 +138,15 @@ class TestBundleValidation:
         (_set_grid("cell_size", 39), "cell_size 39"),
         (lambda b: b["granularities"][0].pop("grid"), "'grid'"),
         (lambda b: b.pop("thresholds"), "'thresholds'"),
+        (lambda b: b["granularities"][0].update(grid=[]), "granularities[0].grid"),
+        (lambda b: b["granularities"][0]["net"]["cpts"][0].update(table=None),
+         "granularities[0].net.cpts[0].table"),
+        (lambda b: _class_cpt(b)["parents"].append("Q"),
+         "CPT for 'C' names undeclared parent 'Q'"),
+        (lambda b: b["granularities"].append(b["granularities"][0]), "cell_size 40 repeats"),
     ], ids=["class-ids-short", "class-ids-long", "grid-resolution", "grid-cols",
-            "grid-cell-size", "missing-grid", "missing-thresholds"])
+            "grid-cell-size", "missing-grid", "missing-thresholds", "grid-not-object",
+            "null-table", "undeclared-parent", "repeated-cell-size"])
     def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
                                                 corrupt, field):
         bundle = json.loads((workspace / "model.bundle").read_text())

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridvad import bn
-from gridvad.featurize import BOX_MODES, box_center, generate_observations
+from gridvad import bn, pipeline
+from gridvad.featurize import BOX_MODES, box_center, generate_observations, with_predecessors
 from gridvad.ingest import ConfidenceThresholds, TrackSet, TrackedDetection, filter_detections
 from gridvad.pipeline import (
     REASON_IMPOSSIBLE,
@@ -133,6 +133,61 @@ class TestScoreObject:
         assert len(cells) >= 1
         assert scored.per_granularity[40] == pytest.approx(
             sum(c.probability for c in cells) / len(cells))
+
+
+class TestSharedPosteriors:
+    def test_each_distinct_evidence_queried_once(self, monkeypatch):
+        bundle = train(TrainConfig(cell_sizes=(40, 80)), mini_tracks())
+        calls = []
+        query = pipeline.bn.class_cpt_query
+
+        def counting(net, evidence):
+            calls.append(evidence)
+            return query(net, evidence)
+
+        monkeypatch.setattr(pipeline.bn, "class_cpt_query", counting)
+        test = mini_tracks()
+        scored, _ = score_frames(bundle, test)
+        keys = {(gran.grid.cell_size, tuple(sorted(evidence.items())))
+                for det, prev_center, gap in with_predecessors(test.detections)
+                for gran in bundle.granularities
+                for _cell, evidence, _labels in object_evidence(
+                    bundle, gran, det.class_id, det.box, prev_center, gap)}
+        cells = sum(len(cs) for s in scored for cs in s.per_cell.values())
+        assert len(calls) == len(keys) < cells
+
+    def test_granularities_with_equal_evidence_keep_their_own_posteriors(self):
+        # a person and a car of equal size, both in the top-left 80 px cell but
+        # in different 40 px cells: the person's cell-1 evidence codes are the
+        # same at both cell sizes while the two networks disagree about them
+        rows = []
+        for f in range(1, 5):
+            rows.append(TrackedDetection(f, 0, 1, (0.0, 30.0, 10.0, 40.0), 0.9))
+            rows.append(TrackedDetection(f, 1, 3, (50.0, 30.0, 60.0, 40.0), 0.9))
+        test = TrackSet((160, 160), 4, tuple(rows))
+        bundle = train(TrainConfig(cell_sizes=(40, 80)), test)
+        scored, _ = score_frames(bundle, test)
+        for s, (det, prev_center, gap) in zip(scored, with_predecessors(test.detections)):
+            for gran in bundle.granularities:
+                expected = []
+                for cell, evidence, _labels in object_evidence(
+                        bundle, gran, det.class_id, det.box, prev_center, gap):
+                    posterior = bn.class_cpt_query(gran.net, evidence)
+                    expected.append(0.0 if posterior.impossible else float(
+                        posterior.values[bundle.class_index(det.class_id)]))
+                assert [c.probability for c in s.per_cell[gran.grid.cell_size]] == expected
+        assert scored[0].per_granularity[40] != scored[0].per_granularity[80]
+
+    def test_stream_scores_equal_per_object_scores(self, reference_run):
+        """Sharing posteriors across a stream changes no score, bit for bit."""
+        bundle = reference_run["bundle"]
+        test = filter_detections(reference_run["test_tracks"], reference_run["thresholds"])
+        alone = [score_object(bundle, *job) for job in with_predecessors(test.detections)]
+        shared = reference_run["scored"]
+        assert len(shared) == len(alone)
+        for s, a in zip(shared, alone):
+            assert (s.per_cell, s.per_granularity, s.fused, s.reason) == (
+                a.per_cell, a.per_granularity, a.fused, a.reason)
 
 
 class TestObjectEvidence:

@@ -23,7 +23,6 @@ from .explain import CellExplanation, ObjectExplanation, explain_cell, explain_o
 from .featurize import (
     DiscretizationModel,
     GridSpec,
-    Observation,
     ObservationTable,
     aspect_category,
     bottom_edge_cells,

@@ -95,16 +95,38 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
+# config-file keys whose flags have a validator; their values go through it too
+_CONFIG_VALIDATORS = {"cells": _cell_sizes, "slice": _positive_int, "frame": _positive_int}
+
+
+def _config_value(key: str, value):
+    """A config-file value checked like its flag; a usage error naming the key otherwise.
+
+    Values are taken in the flag's text form; ``cells`` also takes a JSON
+    list and the integer keys a JSON integer.
+    """
+    validate = _CONFIG_VALIDATORS.get(key)
+    if validate is None:
+        return value
+    if key == "cells" and isinstance(value, list):
+        value = ",".join(map(str, value))
+    elif key != "cells" and type(value) is int:
+        value = str(value)
+    if not isinstance(value, str):
+        raise ScriptError(f"config key {key!r} has the wrong type {type(value).__name__}")
+    try:
+        return validate(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ScriptError(f"config key {key!r}: {exc}") from None
+
+
 def _resolve(args, config: dict, key: str, default):
     """Flag value if given, else config-file value, else the default."""
     value = getattr(args, key, None)
     if value is not None:
         return value
     if key in config:
-        raw = config[key]
-        if key == "cells" and isinstance(raw, list):
-            return tuple(int(v) for v in raw)
-        return raw
+        return _config_value(key, config[key])
     return default
 
 
@@ -180,7 +202,7 @@ def _cmd_train(args) -> int:
     fmt = _resolve(args, config, "format", "jsonl")
     cells = _resolve(args, config, "cells", (20, 40))
     mode = _resolve(args, config, "mode", "spatiotemporal")
-    slice_factor = int(_resolve(args, config, "slice", 1))
+    slice_factor = _resolve(args, config, "slice", 1)
     no_filter = bool(_resolve(args, config, "no_filter", False))
     box_mode = _resolve(args, config, "box_mode", "bottom")
     fusion = _resolve(args, config, "fusion", "mean")
@@ -237,12 +259,13 @@ def _cmd_score(args) -> int:
 
     bundle = load_bundle(model_path)
     tracks = _prepared_tracks(tracks_path, fmt, bundle)
+    timings: dict = {}
     started = time.perf_counter()
-    scored, frames = score_frames(bundle, tracks)
+    scored, frames = score_frames(bundle, tracks, timings=timings)
     elapsed = time.perf_counter() - started
     write_scores(out, scored, frames)
     cells_queried = sum(len(cs) for s in scored for cs in s.per_cell.values())
-    timings = {
+    timings.update({
         "score_seconds": elapsed,
         "per_cell_seconds_mean": elapsed / cells_queried if cells_queried else 0.0,
         "per_object_seconds_mean": elapsed / len(scored) if scored else 0.0,
@@ -252,7 +275,7 @@ def _cmd_score(args) -> int:
         "frames": len(frames),
         "unseen_class_objects": sum(s.reason == REASON_UNSEEN_CLASS for s in scored),
         "impossible_objects": sum(s.reason == REASON_IMPOSSIBLE for s in scored),
-    }
+    })
     echo = {"model": str(model_path), "tracks": str(tracks_path), "format": fmt,
             "out": str(out)}
     _write_manifest(out, "score", echo, timings)
@@ -288,7 +311,7 @@ def _cmd_explain(args) -> int:
     tracks_path = _resolve(args, config, "tracks", None)
     if not model_path or not tracks_path:
         raise ScriptError("--model and --tracks are required")
-    frame = int(_resolve(args, config, "frame", 0))
+    frame = _resolve(args, config, "frame", 0)
     track_id = int(_resolve(args, config, "track_id", -1))
     fmt = _resolve(args, config, "format", "jsonl")
     out = Path(_resolve(args, config, "out", "explanation.json"))

@@ -7,6 +7,15 @@ is relative to its class, its aspect ratio, and (for spatio-temporal
 models) how fast and in which compass direction it moves. Numeric
 attributes are binned by their distance from the class-wise training mean
 in multiples of the class-wise standard deviation.
+
+Two paths compute the same codes. A whole stream (training, stream
+scoring) goes through :func:`stream_columns` and
+:func:`observation_codes`, which return int64 code columns with one row
+per (detection, cell) pair. One box (``score_object``, explanations) goes
+through the scalar functions behind :func:`cell_labels`; they are kept
+because on a one-detection stream the columnar path's fixed numpy cost is
+several times theirs, and they are the reference the columnar path is
+tested against, code for code.
 """
 
 from __future__ import annotations
@@ -14,10 +23,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .bn import NODE_ORDER
 from .ingest import Box, TrackedDetection, TrackSet
 
 SPATIAL = "spatial"
@@ -322,31 +332,26 @@ def direction_category(angle: float | None) -> str:
     return _COMPASS[idx]
 
 
-class Observation(NamedTuple):
-    """One training-table row: a full attribute assignment for a (box, cell) pair."""
-
-    frame: int
-    cell: int
-    class_id: int
-    intersection: str
-    box_size: str
-    aspect: str
-    velocity: str | None = None
-    direction: str | None = None
-
-
 @dataclass(frozen=True)
 class ObservationTable:
+    """One row per (detection, cell) pair as int64 codes in ``bn.NODE_ORDER``.
+
+    F is the frame index, G the 0-based cell code, C the class id and the
+    remaining columns the attribute codes of ``CODES``; -1 marks a value
+    the model kind does not have (V and D of a spatial table).
+    """
+
     kind: str
-    rows: tuple[Observation, ...]
+    rows: np.ndarray
 
     def write_csv(self, stream) -> None:
-        """Columnar debug export with header F,G,C,I,BS,BAR,V,D."""
+        """Debug export with header F,G,C,I,BS,BAR,V,D; G as the 1-based cell index."""
+        # code -1 (absent) picks the trailing empty label
+        i, bs, bar, v, d = (CATEGORIES[rv] + ("",) for rv in NODE_ORDER[3:])
         writer = csv.writer(stream)
-        writer.writerow(("F", "G", "C", "I", "BS", "BAR", "V", "D"))
-        for o in self.rows:
-            writer.writerow((o.frame, o.cell, o.class_id, o.intersection, o.box_size,
-                             o.aspect, o.velocity or "", o.direction or ""))
+        writer.writerow(NODE_ORDER)
+        writer.writerows((f, g + 1, c, i[ic], bs[bsc], bar[barc], v[vc], d[dc])
+                         for f, g, c, ic, bsc, barc, vc, dc in self.rows.tolist())
 
 
 def cell_labels(class_id: int, box: Box, prev_center: tuple[float, float] | None,
@@ -380,11 +385,162 @@ def cell_labels(class_id: int, box: Box, prev_center: tuple[float, float] | None
             for cell in cells]
 
 
+class StreamColumns(NamedTuple):
+    """A frame-sorted detection stream as numpy columns, one entry per detection.
+
+    ``prev`` indexes the track's previous detection (-1 on a first
+    appearance) and ``gap`` is the true frame distance to it (-1 without
+    one), as :func:`with_predecessors` pairs them. ``speed`` and ``angle``
+    come from :func:`motion` for spatio-temporal streams; a detection
+    without a predecessor or heading has speed 0 and angle NaN.
+    """
+
+    frame: np.ndarray
+    class_id: np.ndarray
+    box: np.ndarray
+    prev: np.ndarray
+    gap: np.ndarray
+    speed: np.ndarray
+    angle: np.ndarray
+
+
+def stream_columns(detections: Sequence[TrackedDetection], kind: str) -> StreamColumns:
+    """Columns and predecessors of a stream; motion only for spatio-temporal kinds."""
+    n = len(detections)
+    frame = np.fromiter((d.frame_index for d in detections), np.int64, n)
+    track = np.fromiter((d.track_id for d in detections), np.int64, n)
+    class_id = np.fromiter((d.class_id for d in detections), np.int64, n)
+    box = np.array([d.box for d in detections], dtype=float).reshape(n, 4)
+    # a stable sort keeps each track's detections in stream order
+    order = np.argsort(track, kind="stable")
+    same = track[order[1:]] == track[order[:-1]]
+    prev = np.full(n, -1, np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    gap = np.where(prev >= 0, frame - frame[prev], -1)
+    speed, angle = np.zeros(n), np.full(n, np.nan)
+    if kind == SPATIOTEMPORAL:
+        # math.hypot and math.atan2 round differently from their numpy
+        # counterparts on some inputs, so motion stays scalar
+        centers = [box_center(d.box) for d in detections]
+        prevs, gaps = prev.tolist(), gap.tolist()
+        moved = np.flatnonzero(prev >= 0)
+        pairs = [motion(centers[prevs[i]], centers[i], gaps[i]) for i in moved.tolist()]
+        speed[moved] = [v for v, _ in pairs]
+        angle[moved] = [np.nan if a is None else a for _, a in pairs]
+    return StreamColumns(frame, class_id, box, prev, gap, speed, angle)
+
+
+def _bins(rv: str, conditions: list[np.ndarray], labels: tuple[str, ...],
+          default: str) -> np.ndarray:
+    """Codes of the first label whose condition holds, else of ``default``."""
+    return np.select(conditions, [CODES[rv][label] for label in labels], CODES[rv][default])
+
+
+def _attribute_codes(stream: StreamColumns, model: DiscretizationModel,
+                     kind: str) -> tuple[np.ndarray, ...]:
+    """BS, BAR, V and D codes of every detection (-1 where absent)."""
+    x1, y1, x2, y2 = stream.box.T
+    classes = np.array(sorted(model.per_class), dtype=np.int64)
+    stats = np.array([[st.size_mean, st.size_std, st.speed_mean, st.speed_std]
+                      for st in (model.per_class[c] for c in classes.tolist())]
+                     + [[0.0, 0.0, 0.0, 0.0]])
+    known = np.isin(stream.class_id, classes)
+    mu, sd, speed_mu, speed_sd = stats[
+        np.where(known, np.searchsorted(classes, stream.class_id), len(classes))].T
+
+    area = (x2 - x1) * (y2 - y1)
+    size = _bins("BS", [area < mu - 2 * sd, area < mu - sd, area <= mu + sd,
+                        area <= mu + 2 * sd],
+                 ("x-small", "small", "medium", "large"), "x-large")
+    size[~known] = -1
+    with np.errstate(over="ignore"):  # a sub-pixel height gives inf, as float division does
+        ratio = (x2 - x1) / (y2 - y1)
+    tolerance = model.square_tolerance
+    aspect = _bins("BAR", [ratio > 1.0 + tolerance, ratio >= 1.0 / (1.0 + tolerance)],
+                   ("landscape", "square"), "portrait")
+    if kind != SPATIOTEMPORAL:
+        absent = np.full(len(area), -1, np.int64)
+        return size, aspect, absent, absent
+    v = stream.speed
+    idle = (stream.prev < 0) | (v <= model.idle_speed)
+    velocity = _bins("V", [idle, v < speed_mu - speed_sd, v <= speed_mu + speed_sd,
+                           v <= speed_mu + 2 * speed_sd, v <= speed_mu + 3 * speed_sd,
+                           v <= speed_mu + 4 * speed_sd],
+                     ("idle", "slow", "normal", "fast", "very fast", "super fast"),
+                     "lightning fast")
+    velocity[~known] = -1
+    heading = np.isnan(stream.angle)
+    compass = np.floor((np.mod(np.where(heading, 0.0, stream.angle), 360.0) + 22.5)
+                       / 45.0).astype(np.int64) % 8
+    direction = np.where(idle | heading, CODES["D"]["none"],
+                         np.array([CODES["D"][c] for c in _COMPASS])[compass])
+    return size, aspect, velocity, direction
+
+
+def _cell_codes(box: np.ndarray, grid: GridSpec,
+                box_mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, G, I) of every (detection, cell) pair, cells in scalar order."""
+    x1, y1, x2, y2 = box.T
+    s = grid.cell_size
+    c0 = np.floor(x1 / s).astype(np.int64)
+    c1 = np.ceil(x2 / s).astype(np.int64) - 1
+    r1 = np.ceil(y2 / s).astype(np.int64) - 1
+    r0 = r1 if box_mode == BOX_MODE_BOTTOM else np.floor(y1 / s).astype(np.int64)
+    width = np.maximum(c1 - c0 + 1, 0)
+    count = width * np.maximum(r1 - r0 + 1, 0)
+    owner = np.repeat(np.arange(len(box)), count)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    cell = (r0[owner] + offset // width[owner]) * grid.cols + c0[owner] + offset % width[owner]
+    outside = (cell < 0) | (cell >= grid.cell_count)
+    if outside.any():
+        raise ValueError(f"cell index {cell[outside][0] + 1} outside 1..{grid.cell_count}")
+
+    # overlap with the clipped cell rectangles, as GridSpec.cell_rect derives them;
+    # nested expressions keep few cell-length temporaries alive at once
+    row, col = np.divmod(cell, grid.cols)
+    w, h = grid.resolution
+    ix = np.minimum(x2[owner], np.minimum((col + 1) * s, w)) - np.maximum(x1[owner], col * s)
+    iy = np.minimum(y2[owner], np.minimum((row + 1) * s, h)) - np.maximum(y1[owner], row * s)
+    if ((ix <= 0) | (iy <= 0)).any():
+        raise ValueError("a box does not intersect one of its cells; caller bug")
+    phi = (ix * iy) / ((np.minimum((col + 1) * s, w) - col * s)
+                       * (np.minimum((row + 1) * s, h) - row * s))
+    intersection = _bins("I", [phi >= 1.0, phi >= 0.75, phi >= 0.5, phi >= 0.25],
+                         ("full", "3/4", "1/2", "1/4"), "small")
+    return owner, cell, intersection
+
+
+def observation_codes(stream: StreamColumns, grid: GridSpec, model: DiscretizationModel,
+                      kind: str = SPATIOTEMPORAL,
+                      box_mode: str = BOX_MODE_BOTTOM) -> tuple[np.ndarray, np.ndarray]:
+    """Code rows of every (detection, cell) pair of a stream, vectorized.
+
+    Returns (owner, rows): the detection index of each pair and its
+    ``bn.NODE_ORDER`` codes, in stream order and, per detection, in the cell
+    order of :func:`bottom_edge_cells` or :func:`covered_cells`. Every
+    comparison repeats the scalar binning functions' float expressions, so
+    the codes equal :func:`cell_labels` code for code; a class without
+    training statistics gets BS and V of -1.
+    """
+    owner, cell, intersection = _cell_codes(stream.box, grid, box_mode)
+    rows = np.empty((len(owner), len(NODE_ORDER)), np.int64)
+    rows[:, 0] = stream.frame[owner]
+    rows[:, 1] = cell
+    rows[:, 2] = stream.class_id[owner]
+    rows[:, 3] = intersection
+    for k, codes in enumerate(_attribute_codes(stream, model, kind), start=4):
+        rows[:, k] = codes[owner]
+    return owner, rows
+
+
 def generate_observations(tracks: TrackSet, grid: GridSpec, model: DiscretizationModel,
                           kind: str = SPATIOTEMPORAL,
                           box_mode: str = BOX_MODE_BOTTOM) -> ObservationTable:
-    """Emit one observation per (detection, cell) pair from :func:`cell_labels`.
+    """The training table: one int64 code row per (detection, cell) pair.
 
+    The stream is featurized once by :func:`stream_columns` and
+    :func:`observation_codes`; ``rows`` holds the ``bn.NODE_ORDER`` codes
+    in stream order and labels appear only in :meth:`ObservationTable.write_csv`.
     Temporal attributes use the track's previous surviving detection.
     Every class must have training statistics in ``model``.
     """
@@ -392,13 +548,9 @@ def generate_observations(tracks: TrackSet, grid: GridSpec, model: Discretizatio
         raise ValueError(f"unknown model kind {kind!r}")
     if box_mode not in BOX_MODES:
         raise ValueError(f"unknown box mode {box_mode!r}")
-    rows: list[Observation] = []
-    for det, prev_center, frame_gap in with_predecessors(tracks.detections):
-        if not model.knows(det.class_id):
-            raise UnseenClassError(det.class_id)
-        for cell, labels in cell_labels(det.class_id, det.box, prev_center, frame_gap,
-                                        grid, model, kind, box_mode):
-            rows.append(Observation(det.frame_index, cell, det.class_id, labels["I"],
-                                    labels["BS"], labels["BAR"], labels.get("V"),
-                                    labels.get("D")))
-    return ObservationTable(kind, tuple(rows))
+    stream = stream_columns(tracks.detections, kind)
+    unseen = np.flatnonzero(~np.isin(stream.class_id, list(model.per_class)))
+    if unseen.size:
+        raise UnseenClassError(int(stream.class_id[unseen[0]]))
+    _owner, rows = observation_codes(stream, grid, model, kind, box_mode)
+    return ObservationTable(kind, rows)

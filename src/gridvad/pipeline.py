@@ -1,13 +1,17 @@
 """Training and scoring orchestration.
 
 ``train`` fits one network per grid granularity and wraps everything into
-a serializable :class:`ModelBundle`. ``score_frames`` queries the bundle
-for every test detection, fuses granularities, reduces objects to frame
-scores and smooths them over time. Within one stream each distinct
-(granularity, evidence) pair is queried once and its exact class
-posterior is shared by every cell with that evidence. Objects of classes
-never seen in training score 0.0, as do objects whose attribute
-combination has zero probability under every network.
+a serializable :class:`ModelBundle`; its observation tables are the
+integer code columns of the featurizer. ``score_frames`` featurizes a
+test stream once into the same code columns, queries the bundle, fuses
+granularities, reduces objects to frame scores and smooths them over
+time. Within one stream each distinct (granularity, evidence) key is
+queried once and its exact class posterior is shared by every cell with
+that key. ``score_object`` scores one detection on the scalar per-cell
+path, which is cheaper for one box and is the reference ``score_frames``
+is tested against. Objects of classes never seen in training score 0.0,
+as do objects whose attribute combination has zero probability under
+every network.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -32,11 +37,14 @@ from .featurize import (
     DiscretizationModel,
     GridSpec,
     ObservationTable,
+    StreamColumns,
+    box_center,
     build_grid,
     cell_labels,
     fit_discretizer,
     generate_observations,
-    with_predecessors,
+    observation_codes,
+    stream_columns,
 )
 from .ingest import ConfidenceThresholds, TrackSet, TrackedDetection
 
@@ -141,20 +149,17 @@ class FrameScores:
 
 def observation_columns(table: ObservationTable, class_ids: Sequence[int]) -> dict[str, np.ndarray]:
     """Integer-coded columns for network fitting (class ids become indices)."""
-    index = {cid: i for i, cid in enumerate(class_ids)}
-    rows = table.rows
-    n = len(rows)
-    cols = {
-        "G": np.fromiter((o.cell - 1 for o in rows), np.int64, n),
-        "C": np.fromiter((index[o.class_id] for o in rows), np.int64, n),
-        "I": np.fromiter((CODES["I"][o.intersection] for o in rows), np.int64, n),
-        "BS": np.fromiter((CODES["BS"][o.box_size] for o in rows), np.int64, n),
-        "BAR": np.fromiter((CODES["BAR"][o.aspect] for o in rows), np.int64, n),
-    }
-    if table.kind == SPATIOTEMPORAL:
-        cols["V"] = np.fromiter((CODES["V"][o.velocity] for o in rows), np.int64, n)
-        cols["D"] = np.fromiter((CODES["D"][o.direction] for o in rows), np.int64, n)
-    return cols
+    columns = {rv: table.rows[:, k] for k, rv in enumerate(bn.NODE_ORDER) if rv != "F"}
+    if table.kind != SPATIOTEMPORAL:
+        del columns["V"], columns["D"]
+    ids = np.asarray(class_ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    index = order.take(np.searchsorted(ids, columns["C"], sorter=order), mode="clip")
+    unknown = ids.take(index) != columns["C"]
+    if unknown.any():
+        raise KeyError(int(columns["C"][unknown][0]))
+    columns["C"] = index
+    return columns
 
 
 def train(config: TrainConfig, train_tracks: TrackSet,
@@ -228,21 +233,20 @@ def fuse(values: Sequence[float], rule: str) -> float:
 
 def score_object(bundle: ModelBundle, det: TrackedDetection,
                  prev_center: tuple[float, float] | None = None,
-                 frame_gap: int | None = None,
-                 posteriors: dict | None = None) -> ScoredObject:
-    """Probability of the detection's class given its attributes.
+                 frame_gap: int | None = None) -> ScoredObject:
+    """Probability of one detection's class given its attributes.
 
     Per granularity the score is the mean of P(C = class | evidence) over
     the cells the box occupies; granularities are then fused. A class
     unseen in training or evidence impossible under every network yields
     0.0 with a matching reason code.
 
-    ``posteriors`` maps (cell size, evidence codes in ``bn.NODE_ORDER``) to
-    the class posterior already queried for that key; each distinct key is
-    queried once and the dict is filled in place. Evidence never holds C,
-    so one posterior serves every class. Without it the call starts empty.
+    This is the one-box path (explanations, ``gridvad explain``) and the
+    reference :func:`score_frames` is tested against. It stays scalar by
+    measurement: the columnar featurizer's fixed numpy cost per call is
+    several times a one-detection score. Each cell's evidence holds its
+    own G, so every cell is one ``class_cpt_query``.
     """
-    posteriors = {} if posteriors is None else posteriors
     base = dict(frame=det.frame_index, track_id=det.track_id, class_id=det.class_id,
                 box=det.box, prev_center=prev_center, frame_gap=frame_gap)
     if bundle.class_index(det.class_id) is None:
@@ -257,10 +261,7 @@ def score_object(bundle: ModelBundle, det: TrackedDetection,
         items = object_evidence(bundle, gran, det.class_id, det.box, prev_center, frame_gap)
         cell_scores = []
         for cell, evidence, _labels in items:
-            key = (gran.grid.cell_size, *(evidence.get(rv) for rv in bn.NODE_ORDER))
-            posterior = posteriors.get(key)
-            if posterior is None:
-                posterior = posteriors[key] = bn.class_cpt_query(gran.net, evidence)
+            posterior = bn.class_cpt_query(gran.net, evidence)
             if posterior.impossible:
                 probability = 0.0
             else:
@@ -289,18 +290,92 @@ def gaussian_smooth(values: np.ndarray, sigma: float) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def score_frames(bundle: ModelBundle, test: TrackSet) -> tuple[list[ScoredObject], FrameScores]:
+def _cell_scores(gran: GranularityModel, bundle: ModelBundle, stream: StreamColumns,
+                 class_index: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Owner, cell, probability and impossible flag of every scored cell at one
+    granularity, plus the number of posterior queries made.
+
+    Cells of classes without training statistics are dropped. The
+    evidence codes of each cell pack into one int64 key; each distinct key
+    is one ``class_cpt_query``, whose result every cell with that key shares.
+    """
+    owner, rows = observation_codes(stream, gran.grid, gran.discretizer, bundle.kind,
+                                    bundle.box_mode)
+    keep = np.flatnonzero(class_index[owner] >= 0)
+    owner = owner[keep]
+    names = [rv for rv in gran.net.dag.names if rv != "C"]
+    columns = [bn.NODE_ORDER.index(rv) for rv in names]
+    keys = np.ravel_multi_index(tuple(rows[keep, k] for k in columns),
+                                [gran.net.dag.cardinality(rv) for rv in names])
+    _keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    posteriors = [bn.class_cpt_query(gran.net, dict(zip(names, rows[i, columns].tolist())))
+                  for i in keep[first].tolist()]
+    values = np.array([p.values for p in posteriors]).reshape(
+        len(posteriors), gran.net.dag.cardinality("C"))
+    impossible = np.array([p.impossible for p in posteriors], dtype=bool)[inverse]
+    probability = np.where(impossible, 0.0, values[inverse, class_index[owner]])
+    cell = rows[keep, bn.NODE_ORDER.index("G")] + 1
+    return owner, cell, probability, impossible, len(posteriors)
+
+
+def score_frames(bundle: ModelBundle, test: TrackSet,
+                 timings: dict | None = None) -> tuple[list[ScoredObject], FrameScores]:
     """Score every detection and reduce to per-frame anomaly scores.
 
-    The raw frame score is the minimum fused probability over the frame's
-    objects (1.0 for empty frames). Velocity evidence uses each track's
-    previous detection in the test stream. All detections share one table
-    of class posteriors, so each distinct (granularity, evidence) pair in
-    the stream is queried once.
+    The stream is featurized once into integer code columns
+    (:func:`~gridvad.featurize.observation_codes`); per granularity each
+    distinct evidence key is queried once and its exact class posterior
+    is shared by every cell with that key. Results equal
+    :func:`score_object` on each detection bit for bit: per-object means
+    add the cells left to right, as ``sum()`` does. The raw frame score
+    is the minimum fused probability over the frame's objects (1.0 for
+    empty frames). Velocity evidence uses each track's previous detection
+    in the test stream. Passing a dict as ``timings`` records the number
+    of posterior queries made.
     """
-    posteriors: dict = {}
-    scored = [score_object(bundle, *job, posteriors)
-              for job in with_predecessors(test.detections)]
+    stream = stream_columns(test.detections, bundle.kind)
+    n = len(test.detections)
+    index = {cid: i for i, cid in enumerate(bundle.class_ids)}
+    class_index = np.fromiter((index.get(c, -1) for c in stream.class_id.tolist()),
+                              np.int64, n)
+    means: dict[int, list[float]] = {}
+    cells: dict[int, list[tuple[CellScore, ...]]] = {}
+    possible = np.zeros(n, dtype=bool)
+    queries = 0
+    for gran in bundle.granularities:
+        owner, cell, probability, impossible, queried = _cell_scores(
+            gran, bundle, stream, class_index)
+        queries += queried
+        possible[owner[~impossible]] = True
+        count = np.bincount(owner, minlength=n)
+        # bincount adds each object's cells in stream order, left to right as
+        # sum() does; np.add.reduceat pairs terms and can round differently
+        total = np.bincount(owner, probability, minlength=n)
+        means[gran.grid.cell_size] = (total / np.maximum(count, 1)).tolist()
+        scores = map(CellScore, cell.tolist(), probability.tolist(), impossible.tolist())
+        cells[gran.grid.cell_size] = [tuple(islice(scores, k)) for k in count.tolist()]
+    if timings is not None:
+        timings["posterior_queries"] = queries
+
+    dets = test.detections
+    prev_centers = [box_center(dets[p].box) if p >= 0 else None for p in stream.prev.tolist()]
+    gaps = [g if g >= 0 else None for g in stream.gap.tolist()]
+    known, possible = (class_index >= 0).tolist(), possible.tolist()
+    zeros = {g.grid.cell_size: 0.0 for g in bundle.granularities}
+    scored = []
+    for d, det in enumerate(dets):
+        base = dict(frame=det.frame_index, track_id=det.track_id, class_id=det.class_id,
+                    box=det.box, prev_center=prev_centers[d], frame_gap=gaps[d])
+        if not known[d]:
+            scored.append(ScoredObject(per_granularity=dict(zeros), fused=0.0,
+                                       reason=REASON_UNSEEN_CLASS, **base))
+            continue
+        per_granularity = {cs: mean[d] for cs, mean in means.items()}
+        scored.append(ScoredObject(
+            per_granularity=per_granularity,
+            fused=fuse(list(per_granularity.values()), bundle.fusion),
+            reason=None if possible[d] else REASON_IMPOSSIBLE,
+            per_cell={cs: per_object[d] for cs, per_object in cells.items()}, **base))
     raw = np.ones(test.frame_count, dtype=float)
     for s in scored:
         raw[s.frame - 1] = min(raw[s.frame - 1], s.fused)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gridvad import bn
+from gridvad.featurize import CATEGORIES
 from gridvad.ingest import compute_confidence_thresholds, filter_detections, slice_frames
 from gridvad.metrics import evaluate
 from gridvad.pipeline import TrainConfig, train, score_frames
@@ -47,6 +48,19 @@ def random_query(rng: np.random.Generator, net: bn.BayesNet):
         if name != query and rng.random() < 0.5:
             evidence[name] = int(rng.integers(net.dag.cardinality(name)))
     return query, evidence
+
+
+def decoded(table, rv: str) -> list:
+    """One observation-table column: G as 1-based cells, attributes as labels.
+
+    Absent values (code -1) decode to None; any other code outside the
+    vocabulary raises KeyError.
+    """
+    codes = table.rows[:, bn.NODE_ORDER.index(rv)].tolist()
+    if rv == "G":
+        return [code + 1 for code in codes]
+    labels = {-1: None, **dict(enumerate(CATEGORIES[rv]))}
+    return [labels[code] for code in codes]
 
 
 @pytest.fixture(scope="session")

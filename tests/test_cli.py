@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from gridvad import bn
 from gridvad.cli import main
 
 
@@ -60,6 +61,21 @@ class TestPipelineComposition:
         timings = manifest["timings"]
         assert timings["unseen_class_objects"] == reasons.count("unseen-class") >= 1
         assert timings["impossible_objects"] == reasons.count("impossible-evidence") >= 1
+
+    def test_score_manifest_counts_posterior_queries(self, workspace, monkeypatch, tmp_path):
+        calls = []
+        query = bn.class_cpt_query
+
+        def counting(net, evidence):
+            calls.append(evidence)
+            return query(net, evidence)
+
+        monkeypatch.setattr(bn, "class_cpt_query", counting)
+        out = tmp_path / "scores.jsonl"
+        assert run_cli("score", "--model", workspace / "model.bundle",
+                       "--tracks", workspace / "data" / "test_tracks.jsonl", "--out", out) == 0
+        timings = json.loads((tmp_path / "scores.jsonl.manifest.json").read_text())["timings"]
+        assert timings["posterior_queries"] == len(calls) < timings["cells_queried"]
 
     def test_explain_writes_breakdowns(self, workspace):
         scores = [json.loads(l) for l in (workspace / "scores.jsonl").read_text().splitlines()]
@@ -180,6 +196,26 @@ class TestConfigFile:
                        "--out", tmp_path / "st.bundle") == 0
         manifest = json.loads((tmp_path / "st.bundle.manifest.json").read_text())
         assert manifest["config"]["mode"] == "spatiotemporal"
+
+    def test_config_cells_in_flag_text_form(self, workspace, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "tracks": str(workspace / "data" / "train_tracks.jsonl"),
+            "cells": "40,80", "slice": "3", "out": str(tmp_path / "model.bundle")}))
+        assert run_cli("train", "--config", config) == 0
+        manifest = json.loads((tmp_path / "model.bundle.manifest.json").read_text())
+        assert (manifest["config"]["cells"], manifest["config"]["slice"]) == ([40, 80], 3)
+
+    @pytest.mark.parametrize("key, value", [
+        ("cells", 40), ("cells", "20,0"), ("cells", [20, 2.5]), ("slice", 0),
+        ("slice", "x"), ("slice", 2.5), ("slice", True),
+    ], ids=["cells-int", "cells-zero", "cells-float", "slice-zero", "slice-text",
+            "slice-float", "slice-bool"])
+    def test_config_value_rejected_like_its_flag(self, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"tracks": str(tmp_path / "unread.jsonl"), key: value}))
+        assert run_cli("train", "--config", config) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
 
 
 class TestMotPath:

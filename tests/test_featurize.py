@@ -28,6 +28,8 @@ from gridvad.featurize import (
 )
 from gridvad.ingest import TrackSet, TrackedDetection
 
+from conftest import decoded
+
 
 class TestGrid:
     def test_avenue_coarse(self):
@@ -263,26 +265,27 @@ class TestGenerateObservations:
         ts = track_set([(1, 0, 1, (0, 0, 120, 40))])
         table = generate_observations(ts, self.grid(), fit_discretizer(ts), "spatial")
         assert len(table.rows) == 3
-        assert [o.cell for o in table.rows] == [1, 2, 3]
+        assert decoded(table, "G") == [1, 2, 3]
 
     def test_first_appearance_idle_none(self):
         ts = track_set([(1, 0, 1, (0, 0, 20, 40)), (2, 0, 1, (8, 0, 28, 40))])
         table = generate_observations(ts, self.grid(), fit_discretizer(ts))
-        assert (table.rows[0].velocity, table.rows[0].direction) == ("idle", "none")
-        assert table.rows[1].velocity != "idle"
-        assert table.rows[1].direction == "E"
+        velocity, direction = decoded(table, "V"), decoded(table, "D")
+        assert (velocity[0], direction[0]) == ("idle", "none")
+        assert velocity[1] != "idle"
+        assert direction[1] == "E"
 
     def test_spatial_rows_have_no_temporal_fields(self):
         ts = track_set([(1, 0, 1, (0, 0, 20, 40))])
         table = generate_observations(ts, self.grid(), fit_discretizer(ts), "spatial")
-        assert table.rows[0].velocity is None and table.rows[0].direction is None
+        assert decoded(table, "V")[0] is None and decoded(table, "D")[0] is None
 
     def test_whole_mode_superset_rows(self):
         ts = track_set([(1, 0, 1, (10, 10, 90, 150))])
         disc = fit_discretizer(ts)
         bottom = generate_observations(ts, self.grid(), disc, box_mode="bottom")
         whole = generate_observations(ts, self.grid(), disc, box_mode="whole")
-        assert {o.cell for o in bottom.rows} < {o.cell for o in whole.rows}
+        assert set(decoded(bottom, "G")) < set(decoded(whole, "G"))
 
     def test_all_values_within_value_spaces(self):
         rng = np.random.default_rng(8)
@@ -299,12 +302,12 @@ class TestGenerateObservations:
         ts = track_set(rows)
         table = generate_observations(ts, self.grid(), fit_discretizer(ts))
         count = 0
-        for o in table.rows:
-            assert o.intersection in INTERSECTION_CATEGORIES
-            assert o.box_size in SIZE_CATEGORIES
-            assert o.velocity in VELOCITY_CATEGORIES
-            assert o.direction in DIRECTION_CATEGORIES
-            assert 1 <= o.cell <= 144
+        for i, bs, v, d, cell in zip(*(decoded(table, rv) for rv in ("I", "BS", "V", "D", "G"))):
+            assert i in INTERSECTION_CATEGORIES
+            assert bs in SIZE_CATEGORIES
+            assert v in VELOCITY_CATEGORIES
+            assert d in DIRECTION_CATEGORIES
+            assert 1 <= cell <= 144
             count += 1
         assert count == len(table.rows)
 
@@ -331,3 +334,4 @@ class TestGenerateObservations:
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0] == "F,G,C,I,BS,BAR,V,D"
         assert len(lines) == 1 + len(table.rows)
+

@@ -1,0 +1,140 @@
+"""The batch featurizer's code columns against the one-box functions."""
+import math
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from gridvad.bn import NODE_ORDER
+from gridvad.featurize import (
+    BOX_MODES,
+    CODES,
+    MODEL_KINDS,
+    SPATIOTEMPORAL,
+    ClassStats,
+    DiscretizationModel,
+    box_area,
+    box_center,
+    build_grid,
+    cell_labels,
+    fit_discretizer,
+    generate_observations,
+    motion,
+    observation_codes,
+    stream_columns,
+    with_predecessors,
+)
+from gridvad.ingest import TrackSet, TrackedDetection
+
+
+UNSEEN_CLASS = 17
+
+
+@st.composite
+def streams(draw):
+    """A frame-sorted stream on a random grid, plus a model fitted to its seen classes.
+
+    Box edges often lie on cell boundaries, steps move a box center by
+    exactly the idle cutoff or less, frames skip, one class may be unseen
+    and some classes get sigma = 0 statistics whose mean one box hits.
+    """
+    w, h = draw(st.integers(40, 200)), draw(st.integers(40, 160))
+    cell = draw(st.integers(5, min(w, h)))
+
+    def coord(limit):
+        return draw(st.one_of(st.integers(0, limit // cell).map(lambda k: float(k * cell)),
+                              st.integers(0, limit).map(float),
+                              st.floats(0, limit, allow_nan=False)))
+
+    def span(limit):
+        a, b = sorted((coord(limit), coord(limit)))
+        assume(a < b)
+        return a, b
+
+    def fresh_box():
+        (x1, x2), (y1, y2) = span(w), span(h)
+        return (x1, y1, x2, y2)
+
+    shifts = st.one_of(st.sampled_from([0.0, 0.25, 0.5, -0.5, 1.0, 7.0]),
+                       st.floats(-12, 12, allow_nan=False))
+    rows = []
+    for track in range(draw(st.integers(1, 5))):
+        class_id = draw(st.sampled_from((1, 2, 3) if track == 0 else (1, 2, 3, UNSEEN_CLASS)))
+        frame, box = draw(st.integers(1, 3)), fresh_box()
+        for _ in range(draw(st.integers(1, 4))):
+            rows.append((frame, track, class_id, box))
+            frame += draw(st.sampled_from((1, 1, 2, 3)))
+            if draw(st.booleans()):
+                box = fresh_box()
+            else:
+                dx, dy = draw(shifts), draw(shifts)
+                moved = (max(0.0, box[0] + dx), max(0.0, box[1] + dy),
+                         min(float(w), box[2] + dx), min(float(h), box[3] + dy))
+                if moved[0] < moved[2] and moved[1] < moved[3]:
+                    box = moved
+    rows.sort(key=lambda r: (r[0], r[1]))
+    dets = tuple(TrackedDetection(f, t, c, b, 0.9) for f, t, c, b in rows)
+    tracks = TrackSet((w, h), rows[-1][0], dets)
+    model = fit_discretizer(TrackSet((w, h), tracks.frame_count, tuple(
+        d for d in dets if d.class_id != UNSEEN_CLASS)))
+    per_class = dict(model.per_class)
+    for class_id, stats in model.per_class.items():
+        if draw(st.booleans()):
+            area = box_area(next(d.box for d in dets if d.class_id == class_id))
+            per_class[class_id] = ClassStats(area, 0.0, stats.speed_mean, 0.0)
+    return tracks, build_grid((w, h), cell), DiscretizationModel(per_class)
+
+
+def scalar_rows(tracks, grid, model, kind, box_mode):
+    """(owner, code row) per (detection, cell) pair from the one-box :func:`cell_labels`."""
+    out = []
+    for d, (det, prev_center, gap) in enumerate(with_predecessors(tracks.detections)):
+        for cell, labels in cell_labels(det.class_id, det.box, prev_center, gap, grid,
+                                        model, kind, box_mode):
+            codes = [CODES[rv][labels[rv]] if rv in labels else -1 for rv in NODE_ORDER[3:]]
+            out.append((d, [det.frame_index, cell - 1, det.class_id, *codes]))
+    return out
+
+
+class TestBatchFeaturizer:
+    @pytest.mark.parametrize("box_mode", BOX_MODES)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @settings(max_examples=100, deadline=None)
+    @given(case=streams())
+    def test_codes_equal_one_box_functions(self, case, kind, box_mode):
+        tracks, grid, model = case
+        stream = stream_columns(tracks.detections, kind)
+        for d, (det, prev_center, gap) in enumerate(with_predecessors(tracks.detections)):
+            if prev_center is None:
+                assert (stream.prev[d], stream.gap[d]) == (-1, -1)
+                continue
+            assert box_center(tracks.detections[stream.prev[d]].box) == prev_center
+            assert stream.gap[d] == gap
+            if kind == SPATIOTEMPORAL:
+                speed, angle = motion(prev_center, box_center(det.box), gap)
+                assert stream.speed[d] == speed
+                assert math.isnan(stream.angle[d]) if angle is None else stream.angle[d] == angle
+        try:
+            expected = scalar_rows(tracks, grid, model, kind, box_mode)
+        except ValueError:  # a box too thin to reach a cell, e.g. y2 = 5e-324
+            with pytest.raises(ValueError):
+                observation_codes(stream, grid, model, kind, box_mode)
+            return
+        owner, rows = observation_codes(stream, grid, model, kind, box_mode)
+        assert owner.tolist() == [d for d, _ in expected]
+        assert rows.tolist() == [row for _, row in expected]
+
+    @pytest.mark.parametrize("box_mode", BOX_MODES)
+    @settings(max_examples=40, deadline=None)
+    @given(case=streams())
+    def test_generate_observations_rows(self, case, box_mode):
+        tracks, grid, model = case
+        seen = TrackSet(tracks.resolution, tracks.frame_count, tuple(
+            d for d in tracks.detections if model.knows(d.class_id)))
+        try:
+            expected = scalar_rows(seen, grid, model, SPATIOTEMPORAL, box_mode)
+        except ValueError:
+            with pytest.raises(ValueError):
+                generate_observations(seen, grid, model, SPATIOTEMPORAL, box_mode)
+            return
+        table = generate_observations(seen, grid, model, SPATIOTEMPORAL, box_mode)
+        assert table.rows.tolist() == [row for _, row in expected]

@@ -189,6 +189,51 @@ class TestSharedPosteriors:
             assert (s.per_cell, s.per_granularity, s.fused, s.reason) == (
                 a.per_cell, a.per_granularity, a.fused, a.reason)
 
+    def test_wide_whole_box_mean_adds_cells_left_to_right(self):
+        """A 16-cell object whose per-cell mean depends on the summation order."""
+        bundle = train(TrainConfig(cell_sizes=(20,), box_mode="whole"), mini_tracks())
+        gran = bundle.granularities[0]
+        # random positive CPTs make every cell's class posterior possible and distinct
+        rng = np.random.default_rng(0)
+        cpts = []
+        for cpt in gran.net.cpts:
+            table = rng.random(cpt.table.shape) + 0.05
+            cpts.append(replace(cpt, table=table / table.sum(axis=1, keepdims=True)))
+        net = bn.BayesNet(gran.net.dag, tuple(cpts))
+        bundle = replace(bundle, granularities=(replace(gran, net=net),))
+        det = TrackedDetection(1, 5, 3, (0.0, 0.0, 160.0, 40.0), 0.9)
+        alone = score_object(bundle, det)
+        probabilities = [c.probability for c in alone.per_cell[20]]
+        assert len(probabilities) == 16
+        assert sum(probabilities) != np.add.reduce(np.array(probabilities))
+        scored, _ = score_frames(bundle, TrackSet((160, 120), 1, (det,)))
+        assert scored == [alone]
+        # next to objects of fewer cells, before and after it in the stream
+        small = [TrackedDetection(1, 4, 1, (10.0, 50.0, 30.0, 70.0), 0.9),
+                 TrackedDetection(1, 6, 3, (60.0, 60.0, 110.0, 100.0), 0.9)]
+        test = TrackSet((160, 120), 1, (small[0], det, small[1]))
+        scored, _ = score_frames(bundle, test)
+        assert scored == [score_object(bundle, d) for d in test.detections]
+
+    def test_empty_stream(self, mini_bundle):
+        timings = {}
+        scored, frames = score_frames(mini_bundle, TrackSet((160, 120), 3, ()), timings)
+        assert scored == []
+        assert frames.raw.tolist() == [1.0, 1.0, 1.0]
+        assert timings["posterior_queries"] == 0
+
+    def test_stream_of_unseen_classes_only(self, mini_bundle):
+        test = TrackSet((160, 120), 3, (
+            TrackedDetection(1, 0, 9, (0.0, 0.0, 50.0, 50.0), 0.9),
+            TrackedDetection(2, 0, 9, (4.0, 0.0, 54.0, 50.0), 0.9)))
+        timings = {}
+        scored, frames = score_frames(mini_bundle, test, timings)
+        assert scored == [score_object(mini_bundle, det, prev_center, gap)
+                          for det, prev_center, gap in with_predecessors(test.detections)]
+        assert {s.reason for s in scored} == {REASON_UNSEEN_CLASS}
+        assert frames.raw.tolist() == [0.0, 0.0, 1.0]
+        assert timings["posterior_queries"] == 0
+
 
 class TestObjectEvidence:
     @pytest.mark.parametrize("box_mode", BOX_MODES)

@@ -20,6 +20,8 @@ from gridvad.synth import (
     validate_script,
 )
 
+from conftest import decoded
+
 # golden fingerprint of the serialized reference scene, captured at first build
 REFERENCE_SHA256 = "965a122fe368a075706936aeb87e9ecf39b7d7a503e83224dbd3e576e914b416"
 
@@ -100,8 +102,8 @@ class TestConcentration:
         model = fit_discretizer(train)
         table = generate_observations(train, grid, model)
         n = len(table.rows)
-        medium = sum(1 for o in table.rows if o.box_size == "medium")
-        calm = sum(1 for o in table.rows if o.velocity in ("normal", "slow"))
+        medium = sum(1 for bs in decoded(table, "BS") if bs == "medium")
+        calm = sum(1 for v in decoded(table, "V") if v in ("normal", "slow"))
         assert medium / n >= 0.95
         assert calm / n >= 0.95
 

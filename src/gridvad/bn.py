@@ -50,7 +50,9 @@ class Dag:
 
     ``nodes`` is an ordered tuple of (name, cardinality); the declaration
     order fixes parent ordering and all tie-breaking downstream, which
-    keeps fitting and inference bit-deterministic.
+    keeps fitting and inference bit-deterministic. The names, the
+    name -> cardinality map and the name -> axis map that every query reads
+    are built once, here.
     """
 
     nodes: tuple[tuple[str, int], ...]
@@ -76,6 +78,9 @@ class Dag:
             seen_pairs.add(pair)
         if self._has_cycle():
             raise ValueError("graph contains a cycle")
+        object.__setattr__(self, "_names", tuple(names))
+        object.__setattr__(self, "_cards", dict(self.nodes))
+        object.__setattr__(self, "_axis", {name: i for i, name in enumerate(names)})
 
     def _has_cycle(self) -> bool:
         indeg = {n: 0 for n, _ in self.nodes}
@@ -96,16 +101,13 @@ class Dag:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.nodes)
+        return self._names
 
     def cardinality(self, name: str) -> int:
-        for n, card in self.nodes:
-            if n == name:
-                return card
-        raise KeyError(name)
+        return self._cards[name]
 
     def cardinalities(self) -> dict[str, int]:
-        return dict(self.nodes)
+        return dict(self._cards)
 
     def parents(self, name: str) -> tuple[str, ...]:
         ps = {p for p, c in self.edges if c == name}
@@ -253,7 +255,7 @@ def fit_mle(dag: Dag, data: Mapping[str, np.ndarray]) -> BayesNet:
 
 
 def _check_query(net: BayesNet, query: str, evidence: Mapping[str, int]) -> dict[str, int]:
-    cards = net.dag.cardinalities()
+    cards = net.dag._cards
     if query not in cards:
         raise ValueError(f"unknown query variable {query!r}")
     if query in evidence:
@@ -280,8 +282,7 @@ def eliminate(net: BayesNet, query: str, evidence: Mapping[str, int]) -> Posteri
     all of G's values at once.
     """
     evidence = _check_query(net, query, evidence)
-    cards = net.dag.cardinalities()
-    axis = {name: i for i, name in enumerate(net.dag.names)}
+    cards, axis = net.dag._cards, net.dag._axis
     operands = []
     constant = 1.0
     for cpt in net.cpts:

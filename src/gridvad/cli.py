@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, bn
 from .explain import explain_object, write_explanation
-from .featurize import GridConfigError, generate_observations, with_predecessors
+from .featurize import GridConfigError, with_predecessors
 from .ingest import (
     ConfidenceThresholds,
     TrackFileError,
@@ -222,17 +222,15 @@ def _cmd_train(args) -> int:
     train_config = TrainConfig(cell_sizes=tuple(cells), kind=mode, box_mode=box_mode,
                                fusion=fusion, smoothing_sigma=sigma)
     timings: dict = {}
+    tables: dict | None = {} if args.dump_observations else None
     started = time.perf_counter()
-    bundle = train(train_config, tracks, thresholds, timings=timings)
+    bundle = train(train_config, tracks, thresholds, timings=timings, tables=tables)
     total = time.perf_counter() - started
     save_bundle(bundle, out)
-    if args.dump_observations:
-        for gran in bundle.granularities:
-            table = generate_observations(tracks, gran.grid, gran.discretizer,
-                                          bundle.kind, bundle.box_mode)
-            dump = Path(f"{args.dump_observations}.{gran.grid.cell_size}.csv")
-            with open(dump, "w", encoding="utf-8", newline="") as fh:
-                table.write_csv(fh)
+    for cell_size, table in (tables or {}).items():
+        dump = Path(f"{args.dump_observations}.{cell_size}.csv")
+        with open(dump, "w", encoding="utf-8", newline="") as fh:
+            table.write_csv(fh)
     echo = {"tracks": str(tracks_path), "format": fmt, "cells": list(cells),
             "mode": mode, "slice": slice_factor, "no_filter": no_filter,
             "box_mode": box_mode, "fusion": fusion, "smoothing_sigma": sigma,

@@ -10,10 +10,12 @@ in multiples of the class-wise standard deviation.
 
 Two paths compute the same codes. A whole stream (training, stream
 scoring) goes through :func:`stream_columns` and
-:func:`observation_codes`, which return int64 code columns with one row
-per (detection, cell) pair. One box (``score_object``, explanations) goes
-through the scalar functions behind :func:`cell_labels`; they are kept
-because on a one-detection stream the columnar path's fixed numpy cost is
+:func:`observation_codes`: they read the track set's numpy columns as
+parsed and return int64 code columns with one row per (detection, cell)
+pair, building no per-detection objects; :func:`fit_discretizer` reads
+the same columns. One box (``score_object``, explanations) goes through
+the scalar functions behind :func:`cell_labels`; they are kept because
+on a one-detection stream the columnar path's fixed numpy cost is
 several times theirs, and they are the reference the columnar path is
 tested against, code for code.
 """
@@ -23,12 +25,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .bn import NODE_ORDER
-from .ingest import Box, TrackedDetection, TrackSet
+from .ingest import Box, Detections, TrackedDetection, TrackSet
 
 SPATIAL = "spatial"
 SPATIOTEMPORAL = "spatiotemporal"
@@ -238,22 +240,19 @@ def fit_discretizer(train: TrackSet) -> DiscretizationModel:
 
     Speeds are center displacements between consecutive surviving
     detections of the same track, normalized by the true frame gap, so the
-    statistics are invariant to frame slicing.
+    statistics are invariant to frame slicing. Each class's areas and
+    speeds are reduced in stream order.
     """
     if not train.detections:
         raise ValueError("cannot fit a discretizer on an empty track set")
-    areas: dict[int, list[float]] = {}
-    speeds: dict[int, list[float]] = {}
-    for det, prev_center, frame_gap in with_predecessors(train.detections):
-        areas.setdefault(det.class_id, []).append(box_area(det.box))
-        if prev_center is not None:
-            speed, _ = motion(prev_center, box_center(det.box), frame_gap)
-            if speed > DEFAULT_IDLE_SPEED:
-                speeds.setdefault(det.class_id, []).append(speed)
+    stream = stream_columns(train.detections, SPATIOTEMPORAL)
+    x1, y1, x2, y2 = stream.box.T
+    area = (x2 - x1) * (y2 - y1)
+    moving = stream.speed > DEFAULT_IDLE_SPEED
     per_class: dict[int, ClassStats] = {}
-    for class_id in sorted(areas):
-        a = np.asarray(areas[class_id], dtype=float)
-        sp = np.asarray(speeds.get(class_id, ()), dtype=float)
+    for class_id in np.unique(stream.class_id).tolist():
+        mine = stream.class_id == class_id
+        a, sp = area[mine], stream.speed[mine & moving]
         per_class[class_id] = ClassStats(
             size_mean=float(a.mean()),
             size_std=float(a.std()),
@@ -388,29 +387,30 @@ def cell_labels(class_id: int, box: Box, prev_center: tuple[float, float] | None
 class StreamColumns(NamedTuple):
     """A frame-sorted detection stream as numpy columns, one entry per detection.
 
-    ``prev`` indexes the track's previous detection (-1 on a first
-    appearance) and ``gap`` is the true frame distance to it (-1 without
-    one), as :func:`with_predecessors` pairs them. ``speed`` and ``angle``
-    come from :func:`motion` for spatio-temporal streams; a detection
-    without a predecessor or heading has speed 0 and angle NaN.
+    ``center`` holds the (x, y) box centers of :func:`box_center`. ``prev``
+    indexes the track's previous detection (-1 on a first appearance) and
+    ``gap`` is the true frame distance to it (-1 without one), as
+    :func:`with_predecessors` pairs them. ``speed`` and ``angle`` come from
+    :func:`motion` for spatio-temporal streams; a detection without a
+    predecessor or heading has speed 0 and angle NaN.
     """
 
     frame: np.ndarray
     class_id: np.ndarray
     box: np.ndarray
+    center: np.ndarray
     prev: np.ndarray
     gap: np.ndarray
     speed: np.ndarray
     angle: np.ndarray
 
 
-def stream_columns(detections: Sequence[TrackedDetection], kind: str) -> StreamColumns:
-    """Columns and predecessors of a stream; motion only for spatio-temporal kinds."""
-    n = len(detections)
-    frame = np.fromiter((d.frame_index for d in detections), np.int64, n)
-    track = np.fromiter((d.track_id for d in detections), np.int64, n)
-    class_id = np.fromiter((d.class_id for d in detections), np.int64, n)
-    box = np.array([d.box for d in detections], dtype=float).reshape(n, 4)
+def stream_columns(detections: Detections, kind: str) -> StreamColumns:
+    """Predecessors of a frame-sorted stream's columns; motion only for
+    spatio-temporal kinds."""
+    frame, track, box = detections.frame, detections.track_id, detections.box
+    n = len(frame)
+    center = (box[:, :2] + box[:, 2:]) / 2.0
     # a stable sort keeps each track's detections in stream order
     order = np.argsort(track, kind="stable")
     same = track[order[1:]] == track[order[:-1]]
@@ -421,13 +421,13 @@ def stream_columns(detections: Sequence[TrackedDetection], kind: str) -> StreamC
     if kind == SPATIOTEMPORAL:
         # math.hypot and math.atan2 round differently from their numpy
         # counterparts on some inputs, so motion stays scalar
-        centers = [box_center(d.box) for d in detections]
+        centers = list(map(tuple, center.tolist()))
         prevs, gaps = prev.tolist(), gap.tolist()
         moved = np.flatnonzero(prev >= 0)
         pairs = [motion(centers[prevs[i]], centers[i], gaps[i]) for i in moved.tolist()]
         speed[moved] = [v for v, _ in pairs]
         angle[moved] = [np.nan if a is None else a for _, a in pairs]
-    return StreamColumns(frame, class_id, box, prev, gap, speed, angle)
+    return StreamColumns(frame, detections.class_id, box, center, prev, gap, speed, angle)
 
 
 def _bins(rv: str, conditions: list[np.ndarray], labels: tuple[str, ...],

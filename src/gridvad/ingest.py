@@ -1,20 +1,28 @@
 """Tracker-output and ground-truth ingestion.
 
 Detections arrive as files written by an external multi-object tracker
-(one JSON object per line, or MOTChallenge-style CSV). Parsing yields an
-immutable, frame-sorted :class:`TrackSet` that the rest of the pipeline
-consumes. Dynamic confidence thresholds, confidence filtering and frame
-slicing live here as well because they operate on raw track sets before
-any featurization.
+(one JSON object per line, or MOTChallenge-style CSV). Parsing decodes
+the rows a bounded chunk of lines at a time straight into numpy columns,
+checks each chunk with vectorized tests and yields an immutable
+:class:`TrackSet` sorted by (frame, track). Its ``detections`` are those
+columns; read as a sequence they give one :class:`TrackedDetection` per
+row, built on access. A bad row fails with its line number, including
+non-finite boxes and frame, track or class values that are not integers.
+Dynamic confidence thresholds, confidence filtering and frame slicing
+live here as well, as array operations on the same columns, because they
+act on raw track sets before any featurization.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -22,6 +30,9 @@ log = logging.getLogger(__name__)
 
 PERSON_CLASS_ID = 1
 MAX_CLASS_ID = 80
+
+# Lines decoded at a time: parsing never holds more decoded rows than this.
+CHUNK_LINES = 1024
 
 Box = tuple[float, float, float, float]
 
@@ -49,13 +60,97 @@ class TrackedDetection:
     confidence: float
 
 
+class Detections(Sequence):
+    """The detections of a track set as read-only numpy columns.
+
+    ``frame``, ``track_id`` and ``class_id`` are int64, ``box`` is an
+    (n, 4) float64 array of (x1, y1, x2, y2) and ``confidence`` float64.
+    Read as a sequence the columns give one :class:`TrackedDetection` per
+    row, holding Python ints and floats, built on access; ``len()``
+    builds nothing. The columns compare equal to other columns with the
+    same values and to a tuple of the same detections. The constructor
+    takes the arrays over and makes them read-only.
+    """
+
+    __slots__ = ("frame", "track_id", "class_id", "box", "confidence")
+
+    def __init__(self, frame, track_id, class_id, box, confidence):
+        columns = (np.asarray(frame, np.int64), np.asarray(track_id, np.int64),
+                   np.asarray(class_id, np.int64),
+                   np.asarray(box, np.float64).reshape(-1, 4),
+                   np.asarray(confidence, np.float64))
+        for name, column in zip(self.__slots__, columns):
+            if len(column) != len(columns[0]):
+                raise ValueError("detection columns have different lengths")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[TrackedDetection]) -> Detections:
+        rows = tuple(rows)
+        n = len(rows)
+        return cls(np.fromiter((d.frame_index for d in rows), np.int64, n),
+                   np.fromiter((d.track_id for d in rows), np.int64, n),
+                   np.fromiter((d.class_id for d in rows), np.int64, n),
+                   np.array([d.box for d in rows], dtype=np.float64).reshape(n, 4),
+                   np.fromiter((d.confidence for d in rows), np.float64, n))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def take(self, index) -> Detections:
+        """The rows selected by a boolean mask, an index array or a slice."""
+        return Detections(*(column[index] for column in self.columns()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("detection columns are read-only")
+
+    def __reduce__(self):
+        return Detections, self.columns()
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        return TrackedDetection(int(self.frame[index]), int(self.track_id[index]),
+                                int(self.class_id[index]), tuple(self.box[index].tolist()),
+                                float(self.confidence[index]))
+
+    def __iter__(self):
+        return map(TrackedDetection, self.frame.tolist(), self.track_id.tolist(),
+                   self.class_id.tolist(), map(tuple, self.box.tolist()),
+                   self.confidence.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Detections):
+            return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Detections({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class TrackSet:
-    """All detections of one video, sorted by (frame_index, track_id)."""
+    """All detections of one video; a parsed set is sorted by (frame_index, track_id).
+
+    ``detections`` may be given as any sequence of :class:`TrackedDetection`
+    and is kept as :class:`Detections` columns.
+    """
 
     resolution: tuple[int, int]
     frame_count: int
-    detections: tuple[TrackedDetection, ...]
+    detections: Detections
+
+    def __post_init__(self):
+        if not isinstance(self.detections, Detections):
+            object.__setattr__(self, "detections", Detections.from_rows(self.detections))
 
 
 @dataclass(frozen=True)
@@ -99,46 +194,6 @@ class GroundTruth:
         return labels
 
 
-def clamp_box(box: Box, resolution: tuple[int, int]) -> Box | None:
-    """Clamp a box to the frame rectangle; None if nothing remains."""
-    w, h = resolution
-    x1, y1, x2, y2 = box
-    x1, y1 = max(0.0, float(x1)), max(0.0, float(y1))
-    x2, y2 = min(float(w), float(x2)), min(float(h), float(y2))
-    if x1 >= x2 or y1 >= y2:
-        return None
-    return (x1, y1, x2, y2)
-
-
-def make_detection(
-    frame_index: int,
-    track_id: int,
-    class_id: int,
-    box: Iterable[float],
-    confidence: float,
-    resolution: tuple[int, int],
-    line: int | None = None,
-) -> TrackedDetection:
-    """Validate and clamp one detection row, raising TrackFileError on bad input."""
-    box = tuple(float(v) for v in box)
-    if len(box) != 4:
-        raise TrackFileError("box must have 4 coordinates", line)
-    if frame_index < 1:
-        raise TrackFileError(f"frame index {frame_index} must be >= 1", line)
-    if track_id < 0:
-        raise TrackFileError(f"track id {track_id} must be >= 0", line)
-    if not 1 <= class_id <= MAX_CLASS_ID:
-        raise TrackFileError(f"class id {class_id} outside [1, {MAX_CLASS_ID}]", line)
-    if not 0.0 <= confidence <= 1.0:
-        raise TrackFileError(f"confidence {confidence} outside [0, 1]", line)
-    if box[0] >= box[2] or box[1] >= box[3]:
-        raise TrackFileError(f"degenerate box {box}", line)
-    clamped = clamp_box(box, resolution)
-    if clamped is None:
-        raise TrackFileError(f"box {box} does not intersect the frame", line)
-    return TrackedDetection(int(frame_index), int(track_id), int(class_id), clamped, float(confidence))
-
-
 def _open_text(source, mode: str = "r"):
     if isinstance(source, (str, Path)):
         return open(source, mode, encoding="utf-8"), True
@@ -159,21 +214,221 @@ def _parse_header(line: str, lineno: int) -> tuple[tuple[int, int], int]:
     return (width, height), frames
 
 
-def _finish_track_set(
-    resolution: tuple[int, int], frame_count: int, rows: list[TrackedDetection]
-) -> TrackSet:
-    seen: set[tuple[int, int]] = set()
-    for det in rows:
-        key = (det.frame_index, det.track_id)
-        if key in seen:
-            raise TrackFileError(f"duplicate track {det.track_id} in frame {det.frame_index}")
-        seen.add(key)
-        if det.frame_index > frame_count:
-            raise TrackFileError(
-                f"frame index {det.frame_index} exceeds declared frame count {frame_count}"
-            )
-    rows.sort(key=lambda d: (d.frame_index, d.track_id))
-    return TrackSet(resolution, frame_count, tuple(rows))
+# ---------------------------------------------------------------------------
+# rows -> checked columns
+
+# (frame, track, class, box, confidence) columns of a run of rows
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _first_failure(failures: list[np.ndarray]) -> tuple[int, int] | None:
+    """(row, check) of the first row failing any check and its first failing check."""
+    bad = np.logical_or.reduce(failures)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, next(k for k, failed in enumerate(failures) if failed[row])
+
+
+def _int64(values: np.ndarray) -> np.ndarray:
+    """Which float values are integers that int64 holds."""
+    return np.isfinite(values) & (values == np.trunc(values)) & (np.abs(values) < 2.0 ** 63)
+
+
+def _columns(rows: list[tuple]) -> Columns:
+    n = len(rows)
+    frame, track, class_id, box, confidence = zip(*rows) if rows else ((),) * 5
+    return (np.array(frame, np.int64), np.array(track, np.int64),
+            np.array(class_id, np.int64), np.array(box, np.float64).reshape(n, 4),
+            np.array(confidence, np.float64))
+
+
+def _checked(columns: Columns, lines: Sequence[int], resolution: tuple[int, int]) -> Columns:
+    """The columns with boxes clamped to the frame; TrackFileError at the first bad row.
+
+    A row's checks run in this order: finite box, frame >= 1, track >= 0,
+    class in [1, MAX_CLASS_ID], confidence in [0, 1], x1 < x2 and y1 < y2,
+    and a box that keeps an area once clamped. Clamping keeps a coordinate
+    inside the frame as ``max(0.0, x)`` and ``min(w, x)`` do, so an edge
+    at -0.0 clamps to 0.0.
+    """
+    frame, track, class_id, box, confidence = columns
+    w, h = map(float, resolution)
+    x1, y1, x2, y2 = box.T
+    left, top = np.where(x1 > 0.0, x1, 0.0), np.where(y1 > 0.0, y1, 0.0)
+    right, bottom = np.where(x2 < w, x2, w), np.where(y2 < h, y2, h)
+    found = _first_failure([
+        ~np.isfinite(box).all(axis=1),
+        frame < 1,
+        track < 0,
+        (class_id < 1) | (class_id > MAX_CLASS_ID),
+        ~((confidence >= 0.0) & (confidence <= 1.0)),
+        (x1 >= x2) | (y1 >= y2),
+        (left >= right) | (top >= bottom),
+    ])
+    if found is not None:
+        row, check = found
+        raw = tuple(box[row].tolist())
+        message = (
+            f"box {raw} is not finite",
+            f"frame index {frame[row]} must be >= 1",
+            f"track id {track[row]} must be >= 0",
+            f"class id {class_id[row]} outside [1, {MAX_CLASS_ID}]",
+            f"confidence {confidence[row].item()} outside [0, 1]",
+            f"degenerate box {raw}",
+            f"box {raw} does not intersect the frame",
+        )[check]
+        raise TrackFileError(message, int(lines[row]))
+    return frame, track, class_id, np.stack([left, top, right, bottom], axis=1), confidence
+
+
+def _read_rows(fh: IO[str], resolution: tuple[int, int], frame_count: int,
+               decode: Callable[[list[str], int], tuple]) -> TrackSet:
+    """Decode and check the rows after the header, CHUNK_LINES lines at a time.
+
+    ``decode(lines, lineno)`` turns a chunk whose first line is ``lineno``
+    into the columns of its rows up to the first bad one, their line
+    numbers, and that bad row's TrackFileError (None if there is none).
+
+    Errors come in file order: the first row failing a decode or row check
+    raises with its line number. Once every row has passed, a repeated
+    (frame, track) pair or a frame beyond the declared count raises for the
+    first such row, without a line number.
+    """
+    parts = [_columns([])]
+    lineno = 2
+    while lines := list(islice(fh, CHUNK_LINES)):
+        columns, row_lines, error = decode(lines, lineno)
+        parts.append(_checked(columns, row_lines, resolution))
+        if error is not None:
+            raise error
+        lineno += len(lines)
+    frame, track, class_id, box, confidence = map(np.concatenate, zip(*parts))
+
+    # lexsort is stable, so of two rows with one key the later one in the file follows
+    order = np.lexsort((track, frame))
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:]] = ((frame[order[1:]] == frame[order[:-1]])
+                           & (track[order[1:]] == track[order[:-1]]))
+    found = _first_failure([repeated, frame > frame_count])
+    if found is not None:
+        row, check = found
+        raise TrackFileError(
+            f"duplicate track {track[row]} in frame {frame[row]}" if check == 0 else
+            f"frame index {frame[row]} exceeds declared frame count {frame_count}")
+    return TrackSet(resolution, frame_count,
+                    Detections(frame[order], track[order], class_id[order], box[order],
+                               confidence[order]))
+
+
+# ---------------------------------------------------------------------------
+# jsonl
+
+_JSON_FIELDS = itemgetter("frame", "id", "class", "box", "conf")
+_scan_json = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"  # the whitespace JSON allows around a value
+
+
+def _json_integer(value, name: str) -> int:
+    """A frame, id or class: an integer, an integral number or a string int() reads."""
+    try:
+        number = int(value) if type(value) is str or (
+            type(value) is float and value.is_integer()) else value
+    except ValueError:
+        number = None
+    if type(number) is not int or not -2 ** 63 <= number < 2 ** 63:
+        raise TrackFileError(f"{name} must be a 64-bit integer, not {value!r}")
+    return number
+
+
+def _json_number(value, name: str) -> float:
+    """A box coordinate or conf: anything float() reads, a number or a numeric string."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise TrackFileError(f"{name} must be a number, not {value!r}") from None
+
+
+def _json_fields(obj) -> tuple:
+    """(frame, track, class, box, confidence) of one decoded row; TrackFileError without a line."""
+    if type(obj) is not dict:
+        raise TrackFileError(f"expected a JSON object, not {obj!r}")
+    try:
+        frame, track, class_id, box, confidence = _JSON_FIELDS(obj)
+    except KeyError as exc:
+        raise TrackFileError(f"missing or invalid field: {exc}") from None
+    frame = _json_integer(frame, "frame")
+    track = _json_integer(track, "id")
+    class_id = _json_integer(class_id, "class")
+    if type(box) is not list:
+        raise TrackFileError(f"box must be a list of numbers, not {box!r}")
+    box = tuple(_json_number(v, "box coordinate") for v in box)
+    confidence = _json_number(confidence, "conf")
+    if len(box) != 4:
+        raise TrackFileError("box must have 4 coordinates")
+    return frame, track, class_id, box, confidence
+
+
+def _json_values(lines: list[str], lineno: int):
+    """Decode the non-blank lines of a chunk, each once, up to the first bad one.
+
+    Returns the decoded values, the line numbers of the non-blank lines and
+    the TrackFileError of the first line that is not one JSON value (None
+    if there is none); the values stop before that line.
+    """
+    row_lines = range(lineno, lineno + len(lines))
+    if any(map(str.isspace, lines)):
+        row_lines = [k for k, line in zip(row_lines, lines) if not line.isspace()]
+        lines = [line for line in lines if not line.isspace()]
+    texts = list(map(str.strip, lines, repeat(_JSON_SPACE)))
+    try:
+        # scan_once raises StopIteration where no value starts, which ends the map early
+        values, ends = zip(*map(_scan_json, texts, repeat(0)))
+        if list(ends) == list(map(len, texts)):
+            return values, row_lines, None
+    except (json.JSONDecodeError, ValueError):  # ValueError: not one line decoded
+        pass
+    values = []  # a line is not one JSON value: find it, decoding one by one up to it
+    for k, text in zip(row_lines, texts):
+        try:
+            values.append(json.loads(text))
+        except json.JSONDecodeError as exc:
+            return values, row_lines, TrackFileError(f"bad JSON: {exc.msg}", k)
+    return values, row_lines, None
+
+
+def _jsonl_chunk(lines: list[str], lineno: int):
+    """Decode a chunk of jsonl rows up to the first bad row.
+
+    When every row holds its fields with their plain JSON types (integer
+    frame, id and class, a list of 4 numbers, a number conf) the chunk's
+    columns are built with one numpy call per field. Otherwise the decoded
+    rows go through ``_json_fields`` one by one, which also reads integral
+    floats and numeric strings and stops at the first bad row.
+    """
+    objects, row_lines, error = _json_values(lines, lineno)
+    try:
+        frame, track, class_id, box, confidence = zip(*map(_JSON_FIELDS, objects))
+    except (KeyError, TypeError, ValueError):
+        pass  # a row that is not an object or lacks a field, or no rows
+    else:
+        if (set(map(type, chain(frame, track, class_id))) == {int}
+                and set(map(type, box)) == {list} and set(map(len, box)) == {4}
+                and set(map(type, chain(confidence, *box))) <= {int, float}):
+            try:
+                return ((np.array(frame, np.int64), np.array(track, np.int64),
+                         np.array(class_id, np.int64), np.array(box, np.float64),
+                         np.array(confidence, np.float64)),
+                        row_lines, error)
+            except OverflowError:
+                pass  # an integer too large for its column
+    rows = []
+    for obj, k in zip(objects, row_lines):
+        try:
+            rows.append(_json_fields(obj))
+        except TrackFileError as exc:
+            return _columns(rows), row_lines, TrackFileError(exc.args[0], k)
+    return _columns(rows), row_lines, error
 
 
 def _parse_jsonl(fh: IO[str]) -> TrackSet:
@@ -181,23 +436,50 @@ def _parse_jsonl(fh: IO[str]) -> TrackSet:
     if not first.strip():
         raise TrackFileError("missing header line", 1)
     resolution, frames = _parse_header(first, 1)
-    rows: list[TrackedDetection] = []
-    for lineno, line in enumerate(fh, start=2):
-        if not line.strip():
+    return _read_rows(fh, resolution, frames, _jsonl_chunk)
+
+
+# ---------------------------------------------------------------------------
+# MOT csv
+
+
+def _mot_chunk(lines: list[str], lineno: int):
+    """Decode a chunk of MOT rows: numbers per line, then the per-row field checks."""
+    rows, row_lines, error = [], [], None
+    for k, line in enumerate(lines, start=lineno):
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
+        parts = line.split(",")
+        if len(parts) < 7:
+            error = TrackFileError("expected frame,id,left,top,width,height,conf[,class]", k)
+            break
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TrackFileError(f"bad JSON: {exc.msg}", lineno) from None
-        try:
-            det = make_detection(
-                int(obj["frame"]), int(obj["id"]), int(obj["class"]),
-                obj["box"], float(obj["conf"]), resolution, lineno,
-            )
-        except (KeyError, TypeError) as exc:
-            raise TrackFileError(f"missing or invalid field: {exc}", lineno) from None
-        rows.append(det)
-    return _finish_track_set(resolution, frames, rows)
+            values = [float(p) for p in parts[:7]]
+            values.append(float(parts[7]) if len(parts) > 7 and parts[7].strip()
+                          else PERSON_CLASS_ID)
+        except ValueError as exc:
+            error = TrackFileError(f"bad number: {exc}", k)
+            break
+        rows.append(values)
+        row_lines.append(k)
+    frame, track, left, top, width, height, confidence, class_id = (
+        np.array(rows, np.float64).reshape(len(rows), 8).T)
+    found = _first_failure([~_int64(frame), ~_int64(track), ~_int64(class_id),
+                            (width <= 0) | (height <= 0)])
+    if found is not None:
+        row, check = found
+        name, value = (("frame", frame), ("id", track), ("class", class_id), (None, None))[check]
+        message = (f"{name} must be a 64-bit integer, not {value[row].item()!r}" if name
+                   else f"non-positive box size {width[row].item()}x{height[row].item()}")
+        error = TrackFileError(message, row_lines[row])
+        keep = slice(row)
+    else:
+        keep = slice(None)
+    box = np.stack([left, top, left + width, top + height], axis=1)
+    return ((frame[keep].astype(np.int64), track[keep].astype(np.int64),
+             class_id[keep].astype(np.int64), box[keep], confidence[keep]),
+            row_lines, error)
 
 
 def _parse_mot(fh: IO[str]) -> TrackSet:
@@ -211,27 +493,7 @@ def _parse_mot(fh: IO[str]) -> TrackSet:
     if not first.startswith("#"):
         raise TrackFileError('MOT input needs a first line like # {"width":W,"height":H,"frames":N}', 1)
     resolution, frames = _parse_header(first.lstrip("#").strip(), 1)
-    rows: list[TrackedDetection] = []
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) < 7:
-            raise TrackFileError("expected frame,id,left,top,width,height,conf[,class]", lineno)
-        try:
-            frame, tid = int(float(parts[0])), int(float(parts[1]))
-            left, top, bw, bh = (float(p) for p in parts[2:6])
-            conf = float(parts[6])
-            class_id = int(float(parts[7])) if len(parts) > 7 and parts[7].strip() else PERSON_CLASS_ID
-        except ValueError as exc:
-            raise TrackFileError(f"bad number: {exc}", lineno) from None
-        if bw <= 0 or bh <= 0:
-            raise TrackFileError(f"non-positive box size {bw}x{bh}", lineno)
-        det = make_detection(frame, tid, class_id, (left, top, left + bw, top + bh),
-                             conf, resolution, lineno)
-        rows.append(det)
-    return _finish_track_set(resolution, frames, rows)
+    return _read_rows(fh, resolution, frames, _mot_chunk)
 
 
 def parse_tracks(source, format: str = "jsonl") -> TrackSet:
@@ -261,11 +523,12 @@ def write_tracks(tracks: TrackSet, target) -> None:
     try:
         w, h = tracks.resolution
         fh.write(json.dumps({"width": w, "height": h, "frames": tracks.frame_count}) + "\n")
-        for d in tracks.detections:
-            fh.write(json.dumps({
-                "frame": d.frame_index, "id": d.track_id, "class": d.class_id,
-                "box": list(d.box), "conf": d.confidence,
-            }) + "\n")
+        d = tracks.detections
+        for frame, track, class_id, box, confidence in zip(
+                d.frame.tolist(), d.track_id.tolist(), d.class_id.tolist(), d.box.tolist(),
+                d.confidence.tolist()):
+            fh.write(json.dumps({"frame": frame, "id": track, "class": class_id,
+                                 "box": box, "conf": confidence}) + "\n")
     finally:
         if owned:
             fh.close()
@@ -307,30 +570,30 @@ def write_ground_truth(gt: GroundTruth, target) -> None:
             fh.close()
 
 
-def _group_threshold(confidences: list[float], group: str) -> float:
-    if not confidences:
+def _group_threshold(confidences: np.ndarray, group: str) -> float:
+    if not confidences.size:
         log.info("no %s detections; confidence threshold defaults to 0", group)
         return 0.0
-    arr = np.asarray(confidences, dtype=float)
     # population standard deviation: deterministic for a single sample
-    return float(max(0.0, arr.mean() - 2.0 * arr.std()))
+    return float(max(0.0, confidences.mean() - 2.0 * confidences.std()))
 
 
 def compute_confidence_thresholds(tracks: TrackSet) -> ConfidenceThresholds:
     """Dynamic thresholds, one for person and one for the pooled remaining classes."""
-    person = [d.confidence for d in tracks.detections if d.class_id == PERSON_CLASS_ID]
-    other = [d.confidence for d in tracks.detections if d.class_id != PERSON_CLASS_ID]
+    person = tracks.detections.class_id == PERSON_CLASS_ID
+    confidence = tracks.detections.confidence
     return ConfidenceThresholds(
-        person_threshold=_group_threshold(person, "person"),
-        other_threshold=_group_threshold(other, "non-person"),
+        person_threshold=_group_threshold(confidence[person], "person"),
+        other_threshold=_group_threshold(confidence[~person], "non-person"),
     )
 
 
 def filter_detections(tracks: TrackSet, thresholds: ConfidenceThresholds) -> TrackSet:
     """Keep detections whose confidence is >= their class group's threshold."""
-    kept = tuple(d for d in tracks.detections
-                 if d.confidence >= thresholds.for_class(d.class_id))
-    return replace(tracks, detections=kept)
+    d = tracks.detections
+    cutoff = np.where(d.class_id == PERSON_CLASS_ID, thresholds.person_threshold,
+                      thresholds.other_threshold)
+    return replace(tracks, detections=d.take(d.confidence >= cutoff))
 
 
 def slice_frames(tracks: TrackSet, slice_factor: int) -> TrackSet:
@@ -343,5 +606,5 @@ def slice_frames(tracks: TrackSet, slice_factor: int) -> TrackSet:
         raise ValueError(f"slice factor {slice_factor} must be >= 1")
     if slice_factor == 1:
         return tracks
-    kept = tuple(d for d in tracks.detections if (d.frame_index - 1) % slice_factor == 0)
-    return replace(tracks, detections=kept)
+    d = tracks.detections
+    return replace(tracks, detections=d.take((d.frame - 1) % slice_factor == 0))

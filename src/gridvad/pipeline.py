@@ -38,7 +38,6 @@ from .featurize import (
     GridSpec,
     ObservationTable,
     StreamColumns,
-    box_center,
     build_grid,
     cell_labels,
     fit_discretizer,
@@ -164,13 +163,15 @@ def observation_columns(table: ObservationTable, class_ids: Sequence[int]) -> di
 
 def train(config: TrainConfig, train_tracks: TrackSet,
           thresholds: ConfidenceThresholds | None = None,
-          timings: dict | None = None) -> ModelBundle:
+          timings: dict | None = None,
+          tables: dict | None = None) -> ModelBundle:
     """Fit discretizer, observation tables and one network per cell size.
 
     ``train_tracks`` must already be confidence-filtered and frame-sliced;
     the thresholds used for filtering ride along in the bundle so scoring
     can apply the identical cut-offs to test streams. Passing a dict as
-    ``timings`` records per-granularity fit seconds and observation counts.
+    ``timings`` records per-granularity fit seconds and observation counts;
+    passing one as ``tables`` collects each cell size's ObservationTable.
     """
     if not train_tracks.detections:
         raise bn.FitError("cannot train on an empty track set")
@@ -193,6 +194,8 @@ def train(config: TrainConfig, train_tracks: TrackSet,
         net = bn.fit_mle(dag.without_node("F"), observation_columns(table, class_ids))
         fit_seconds[str(cell_size)] = time.perf_counter() - started
         observations[str(cell_size)] = len(table.rows)
+        if tables is not None:
+            tables[cell_size] = table
         granularities.append(GranularityModel(grid, discretizer, net))
     if timings is not None:
         timings["fit_seconds"] = fit_seconds
@@ -330,11 +333,13 @@ def score_frames(bundle: ModelBundle, test: TrackSet,
     add the cells left to right, as ``sum()`` does. The raw frame score
     is the minimum fused probability over the frame's objects (1.0 for
     empty frames). Velocity evidence uses each track's previous detection
-    in the test stream. Passing a dict as ``timings`` records the number
-    of posterior queries made.
+    in the test stream. The ScoredObject fields come from the track set's
+    columns; no per-detection row object is built. Passing a dict as
+    ``timings`` records the number of posterior queries made.
     """
-    stream = stream_columns(test.detections, bundle.kind)
-    n = len(test.detections)
+    dets = test.detections
+    stream = stream_columns(dets, bundle.kind)
+    n = len(dets)
     index = {cid: i for i, cid in enumerate(bundle.class_ids)}
     class_index = np.fromiter((index.get(c, -1) for c in stream.class_id.tolist()),
                               np.int64, n)
@@ -357,15 +362,17 @@ def score_frames(bundle: ModelBundle, test: TrackSet,
     if timings is not None:
         timings["posterior_queries"] = queries
 
-    dets = test.detections
-    prev_centers = [box_center(dets[p].box) if p >= 0 else None for p in stream.prev.tolist()]
+    prev_centers = [tuple(c) if p >= 0 else None for p, c in
+                    zip(stream.prev.tolist(), stream.center[stream.prev].tolist())]
     gaps = [g if g >= 0 else None for g in stream.gap.tolist()]
     known, possible = (class_index >= 0).tolist(), possible.tolist()
     zeros = {g.grid.cell_size: 0.0 for g in bundle.granularities}
     scored = []
-    for d, det in enumerate(dets):
-        base = dict(frame=det.frame_index, track_id=det.track_id, class_id=det.class_id,
-                    box=det.box, prev_center=prev_centers[d], frame_gap=gaps[d])
+    for d, (frame, track_id, class_id, box) in enumerate(zip(
+            dets.frame.tolist(), dets.track_id.tolist(), dets.class_id.tolist(),
+            map(tuple, dets.box.tolist()))):
+        base = dict(frame=frame, track_id=track_id, class_id=class_id, box=box,
+                    prev_center=prev_centers[d], frame_gap=gaps[d])
         if not known[d]:
             scored.append(ScoredObject(per_granularity=dict(zeros), fused=0.0,
                                        reason=REASON_UNSEEN_CLASS, **base))

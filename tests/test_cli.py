@@ -1,10 +1,14 @@
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from gridvad import bn
+from gridvad import bn, cli, pipeline
 from gridvad.cli import main
+from gridvad.featurize import generate_observations
+from gridvad.ingest import (compute_confidence_thresholds, filter_detections, parse_tracks,
+                            slice_frames)
 
 
 def run_cli(*args) -> int:
@@ -76,6 +80,32 @@ class TestPipelineComposition:
                        "--tracks", workspace / "data" / "test_tracks.jsonl", "--out", out) == 0
         timings = json.loads((tmp_path / "scores.jsonl.manifest.json").read_text())["timings"]
         assert timings["posterior_queries"] == len(calls) < timings["cells_queried"]
+
+    def test_observation_dump_reuses_training_tables(self, workspace, monkeypatch, tmp_path):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].cell_size)
+            return generate_observations(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate_observations", counting)
+        monkeypatch.setattr(cli, "generate_observations", counting, raising=False)
+        tracks = workspace / "data" / "train_tracks.jsonl"
+        assert run_cli("train", "--tracks", tracks, "--cells", "40,80", "--slice", "3",
+                       "--out", tmp_path / "m.bundle",
+                       "--dump-observations", tmp_path / "obs") == 0
+        assert calls == [40, 80]
+
+        bundle = pipeline.load_bundle(tmp_path / "m.bundle")
+        parsed = parse_tracks(tracks)
+        prepared = slice_frames(filter_detections(parsed, compute_confidence_thresholds(parsed)),
+                                3)
+        for gran in bundle.granularities:
+            expected = io.StringIO(newline="")
+            generate_observations(prepared, gran.grid, gran.discretizer, bundle.kind,
+                                  bundle.box_mode).write_csv(expected)
+            dump = Path(f"{tmp_path / 'obs'}.{gran.grid.cell_size}.csv")
+            assert dump.read_bytes() == expected.getvalue().encode()
 
     def test_explain_writes_breakdowns(self, workspace):
         scores = [json.loads(l) for l in (workspace / "scores.jsonl").read_text().splitlines()]

@@ -48,6 +48,16 @@ class TestParseTracks:
         with pytest.raises(TrackFileError, match="frame 3"):
             parse_tracks(jsonl(det(frame=3, tid=5), det(frame=3, tid=5, box=(0, 0, 5, 5))))
 
+    @pytest.mark.parametrize("frames, message", [
+        ((1, 200, 1), "frame index 200 exceeds declared frame count 100"),
+        ((1, 1, 200), "duplicate track 7 in frame 1"),
+    ])
+    def test_duplicate_and_late_frame_fail_in_file_order(self, frames, message):
+        rows = [det(frame=f, tid=7 if f == 1 else 8) for f in frames]
+        with pytest.raises(TrackFileError) as excinfo:
+            parse_tracks(jsonl(*rows))
+        assert str(excinfo.value) == message
+
     def test_malformed_row_carries_line_number(self):
         stream = io.StringIO(json.dumps(HEADER) + "\n{not json\n")
         with pytest.raises(TrackFileError, match="line 2"):

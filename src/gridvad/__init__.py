@@ -53,6 +53,7 @@ from .pipeline import (
     FrameScores,
     ModelBundle,
     ScoredObject,
+    ScoreTable,
     TrainConfig,
     load_bundle,
     save_bundle,

@@ -261,18 +261,21 @@ def _cmd_score(args) -> int:
     started = time.perf_counter()
     scored, frames = score_frames(bundle, tracks, timings=timings)
     elapsed = time.perf_counter() - started
+    started = time.perf_counter()
     write_scores(out, scored, frames)
-    cells_queried = sum(len(cs) for s in scored for cs in s.per_cell.values())
+    write_elapsed = time.perf_counter() - started
+    cells_queried = sum(len(cells.cell) for cells in scored.cells)
     timings.update({
         "score_seconds": elapsed,
+        "write_seconds": write_elapsed,
         "per_cell_seconds_mean": elapsed / cells_queried if cells_queried else 0.0,
         "per_object_seconds_mean": elapsed / len(scored) if scored else 0.0,
         "per_frame_seconds_mean": elapsed / len(frames) if len(frames) else 0.0,
         "cells_queried": cells_queried,
         "objects": len(scored),
         "frames": len(frames),
-        "unseen_class_objects": sum(s.reason == REASON_UNSEEN_CLASS for s in scored),
-        "impossible_objects": sum(s.reason == REASON_IMPOSSIBLE for s in scored),
+        "unseen_class_objects": scored.reason_count(REASON_UNSEEN_CLASS),
+        "impossible_objects": scored.reason_count(REASON_IMPOSSIBLE),
     })
     echo = {"model": str(model_path), "tracks": str(tracks_path), "format": fmt,
             "out": str(out)}

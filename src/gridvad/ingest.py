@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
@@ -534,8 +535,35 @@ def write_tracks(tracks: TrackSet, target) -> None:
             fh.close()
 
 
+def _gt_fields(obj) -> tuple[int, int, Box]:
+    """(frame, gt_id, box) of one decoded gt row, read like a track row; TrackFileError
+    without a line."""
+    try:
+        frame, gt_id, box = obj["frame"], obj["gt_id"], obj["box"]
+    except (KeyError, TypeError):
+        raise TrackFileError("expected {frame, gt_id, box} object") from None
+    frame, gt_id = _json_integer(frame, "frame"), _json_integer(gt_id, "gt_id")
+    if type(box) is not list:
+        raise TrackFileError(f"box must be a list of numbers, not {box!r}")
+    box = tuple(_json_number(v, "box coordinate") for v in box)
+    if len(box) != 4:
+        raise TrackFileError("box must have 4 coordinates")
+    if not all(map(math.isfinite, box)):
+        raise TrackFileError(f"ground-truth box {box} is not finite")
+    if box[0] >= box[2] or box[1] >= box[3]:
+        raise TrackFileError(f"degenerate ground-truth box {box}")
+    if frame < 1:
+        raise TrackFileError(f"frame index {frame} must be >= 1")
+    return frame, gt_id, box
+
+
 def parse_ground_truth(source) -> GroundTruth:
-    """Parse gt.jsonl: one {"frame", "gt_id", "box"} object per line."""
+    """Parse gt.jsonl: one {"frame", "gt_id", "box"} object per line.
+
+    Fields follow the track rules: ``frame`` and ``gt_id`` are 64-bit
+    integers (integral floats and numeric strings are read), ``box`` is a
+    list of 4 finite numbers. A bad row fails with its line number.
+    """
     fh, owned = _open_text(source)
     try:
         regions: list[GtRegion] = []
@@ -544,15 +572,12 @@ def parse_ground_truth(source) -> GroundTruth:
                 continue
             try:
                 obj = json.loads(line)
-                frame, gt_id = int(obj["frame"]), int(obj["gt_id"])
-                box = tuple(float(v) for v in obj["box"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            except json.JSONDecodeError:
                 raise TrackFileError("expected {frame, gt_id, box} object", lineno) from None
-            if len(box) != 4 or box[0] >= box[2] or box[1] >= box[3]:
-                raise TrackFileError(f"degenerate ground-truth box {box}", lineno)
-            if frame < 1:
-                raise TrackFileError(f"frame index {frame} must be >= 1", lineno)
-            regions.append(GtRegion(frame, gt_id, box))
+            try:
+                regions.append(GtRegion(*_gt_fields(obj)))
+            except TrackFileError as exc:
+                raise TrackFileError(exc.args[0], lineno) from None
         regions.sort(key=lambda r: (r.frame, r.gt_id))
         return GroundTruth(tuple(regions))
     finally:

@@ -77,16 +77,16 @@ def frame_auc(frame_scores: FrameScores, gt: GroundTruth) -> float:
     return roc_auc(signal, labels)
 
 
-def _detection_matches(scored: Sequence[ScoredObject], gt: GroundTruth,
+def _detection_matches(objects: Sequence[tuple[int, Box, float]], gt: GroundTruth,
                        iou_threshold: float) -> list[tuple[int, ...]]:
     regions = gt.regions
     by_frame: dict[int, list[int]] = {}
     for idx, region in enumerate(regions):
         by_frame.setdefault(region.frame, []).append(idx)
     matches = []
-    for det in scored:
-        hits = tuple(idx for idx in by_frame.get(det.frame, ())
-                     if iou(det.box, regions[idx].box) >= iou_threshold)
+    for frame, box, _score in objects:
+        hits = tuple(idx for idx in by_frame.get(frame, ())
+                     if iou(box, regions[idx].box) >= iou_threshold)
         matches.append(hits)
     return matches
 
@@ -110,9 +110,11 @@ def detection_curves(scored: Sequence[ScoredObject], gt: GroundTruth, num_frames
     n_regions = len(regions)
     track_sizes = gt.track_sizes()
     n_tracks = len(track_sizes)
-    matches = _detection_matches(scored, gt, iou_threshold)
-
-    order = sorted(range(len(scored)), key=lambda i: scored[i].fused)
+    # one pass over the objects: a ScoreTable builds each one as it is read
+    objects = [(s.frame, s.box, s.fused) for s in scored]
+    matches = _detection_matches(objects, gt, iou_threshold)
+    scores = [score for _frame, _box, score in objects]
+    order = sorted(range(len(scores)), key=scores.__getitem__)
     region_hit = [False] * n_regions
     track_hits = {tid: 0 for tid in track_sizes}
     detected_regions = 0
@@ -122,8 +124,8 @@ def detection_curves(scored: Sequence[ScoredObject], gt: GroundTruth, num_frames
     track_points = [RocPoint(-math.inf, 0.0, 0.0)]
     pos = 0
     while pos < len(order):
-        threshold = scored[order[pos]].fused
-        while pos < len(order) and scored[order[pos]].fused == threshold:
+        threshold = scores[order[pos]]
+        while pos < len(order) and scores[order[pos]] == threshold:
             det_idx = order[pos]
             hits = matches[det_idx]
             if not hits:

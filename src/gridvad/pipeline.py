@@ -7,11 +7,14 @@ test stream once into the same code columns, queries the bundle, fuses
 granularities, reduces objects to frame scores and smooths them over
 time. Within one stream each distinct (granularity, evidence) key is
 queried once and its exact class posterior is shared by every cell with
-that key. ``score_object`` scores one detection on the scalar per-cell
-path, which is cheaper for one box and is the reference ``score_frames``
-is tested against. Objects of classes never seen in training score 0.0,
-as do objects whose attribute combination has zero probability under
-every network.
+that key. Its scores stay columns, a :class:`ScoreTable`, from the
+posteriors to ``write_scores``, which formats ``scores.jsonl`` from them;
+reason strings and :class:`ScoredObject` rows appear only when the table
+is read as a sequence. ``score_object`` scores one detection on the
+scalar per-cell path, which is cheaper for one box and is the reference
+``score_frames`` is tested against. Objects of classes never seen in
+training score 0.0, as do objects whose attribute combination has zero
+probability under every network.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -38,6 +40,7 @@ from .featurize import (
     GridSpec,
     ObservationTable,
     StreamColumns,
+    box_center,
     build_grid,
     cell_labels,
     fit_discretizer,
@@ -133,6 +136,144 @@ class ScoredObject:
     prev_center: tuple[float, float] | None = None
     frame_gap: int | None = None
     per_cell: dict[int, tuple[CellScore, ...]] = field(default_factory=dict)
+
+
+class CellColumns(NamedTuple):
+    """The scored cells of one granularity, grouped by object in stream order.
+
+    Object ``i``'s cells are rows ``offsets[i]:offsets[i + 1]`` of ``cell``
+    (int64, 1-based), ``probability`` (float64) and ``impossible`` (bool).
+    """
+
+    offsets: np.ndarray
+    cell: np.ndarray
+    probability: np.ndarray
+    impossible: np.ndarray
+
+
+# reason code of a ScoreTable row -> ScoredObject.reason
+REASONS = (None, REASON_UNSEEN_CLASS, REASON_IMPOSSIBLE)
+
+
+class ScoreTable(Sequence):
+    """The scored objects of one stream as read-only numpy columns.
+
+    ``frame``, ``track_id`` and ``class_id`` are int64 and ``box`` an
+    (n, 4) float64 array, as in the stream's detections. ``prev`` indexes
+    the track's previous row and ``gap`` is the frame distance to it (both
+    -1 without one). ``per_granularity`` is (n, G) float64 with one column
+    per entry of ``cell_sizes``, ``fused`` float64, ``reason`` a code into
+    :data:`REASONS`, and ``cells`` one :class:`CellColumns` per granularity.
+
+    Read as a sequence the columns give one :class:`ScoredObject` per row,
+    with its ``per_cell`` trace, built on access; ``len()`` builds nothing.
+    A table compares equal to a table with the same columns and to a list
+    or tuple of the same objects. The constructor takes the arrays over and
+    makes them read-only.
+    """
+
+    __slots__ = ("frame", "track_id", "class_id", "box", "prev", "gap", "cell_sizes",
+                 "per_granularity", "fused", "reason", "cells")
+
+    def __init__(self, frame, track_id, class_id, box, prev, gap, cell_sizes,
+                 per_granularity, fused, reason, cells):
+        cell_sizes = tuple(map(int, cell_sizes))
+        rows = (np.asarray(frame, np.int64), np.asarray(track_id, np.int64),
+                np.asarray(class_id, np.int64), np.asarray(box, np.float64).reshape(-1, 4),
+                np.asarray(prev, np.int64), np.asarray(gap, np.int64))
+        per_granularity = np.asarray(per_granularity, np.float64).reshape(-1, len(cell_sizes))
+        fused, reason = np.asarray(fused, np.float64), np.asarray(reason, np.int8)
+        cells = tuple(CellColumns(np.asarray(c.offsets, np.int64), np.asarray(c.cell, np.int64),
+                                  np.asarray(c.probability, np.float64),
+                                  np.asarray(c.impossible, bool)) for c in cells)
+        if len(set(cell_sizes)) != len(cell_sizes) or len(cells) != len(cell_sizes):
+            raise ValueError("score table needs one cell column set per distinct cell size")
+        n = len(rows[0])
+        if any(len(column) != n for column in (*rows, per_granularity, fused, reason)) or any(
+                len(c.offsets) != n + 1 or len({len(c.cell), len(c.probability),
+                                                len(c.impossible)}) != 1 for c in cells):
+            raise ValueError("score table columns have different lengths")
+        for name, value in zip(self.__slots__, (*rows, cell_sizes, per_granularity, fused,
+                                                reason, cells)):
+            object.__setattr__(self, name, value)
+        for column in self._arrays():
+            column.flags.writeable = False
+
+    def columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def reason_count(self, reason: str | None) -> int:
+        """The number of rows with this reason."""
+        return int(np.count_nonzero(self.reason == REASONS.index(reason)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("score table columns are read-only")
+
+    def __reduce__(self):
+        return ScoreTable, self.columns()
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]
+        return next(self._rows(i, i + 1))
+
+    def __iter__(self):
+        return self._rows(0, len(self))
+
+    def _rows(self, start: int, stop: int):
+        """The ScoredObjects of rows start..stop-1, each built when reached.
+
+        The rows' columns become Python lists up front, so a row costs no
+        numpy call.
+        """
+        rows = slice(start, stop)
+        prev = self.prev[rows]
+        prev_boxes = self.box[prev].tolist()
+        cells = []
+        for c in self.cells:
+            offsets = c.offsets[start:stop + 1]
+            first, last = offsets[0], offsets[-1]
+            cells.append(((offsets - first).tolist(), c.cell[first:last].tolist(),
+                          c.probability[first:last].tolist(),
+                          c.impossible[first:last].tolist()))
+        for k, (frame, track_id, class_id, box, per_granularity, fused, code, p, gap) in (
+                enumerate(zip(self.frame[rows].tolist(), self.track_id[rows].tolist(),
+                              self.class_id[rows].tolist(), self.box[rows].tolist(),
+                              self.per_granularity[rows].tolist(), self.fused[rows].tolist(),
+                              self.reason[rows].tolist(), prev.tolist(),
+                              self.gap[rows].tolist()))):
+            reason = REASONS[code]
+            per_cell = {}
+            if reason != REASON_UNSEEN_CLASS:
+                for cs, (offsets, cell, probability, impossible) in zip(self.cell_sizes, cells):
+                    a, b = offsets[k], offsets[k + 1]
+                    per_cell[cs] = tuple(map(CellScore, cell[a:b], probability[a:b],
+                                             impossible[a:b]))
+            yield ScoredObject(frame, track_id, class_id, tuple(box),
+                               dict(zip(self.cell_sizes, per_granularity)), fused, reason,
+                               box_center(prev_boxes[k]) if p >= 0 else None,
+                               gap if gap >= 0 else None, per_cell)
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [column for column in self.columns() if isinstance(column, np.ndarray)] + [
+            array for c in self.cells for array in c]
+
+    def __eq__(self, other):
+        if isinstance(other, ScoreTable):
+            return self.cell_sizes == other.cell_sizes and all(
+                map(np.array_equal, self._arrays(), other._arrays()))
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ScoreTable({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -322,32 +463,35 @@ def _cell_scores(gran: GranularityModel, bundle: ModelBundle, stream: StreamColu
 
 
 def score_frames(bundle: ModelBundle, test: TrackSet,
-                 timings: dict | None = None) -> tuple[list[ScoredObject], FrameScores]:
+                 timings: dict | None = None) -> tuple[ScoreTable, FrameScores]:
     """Score every detection and reduce to per-frame anomaly scores.
 
     The stream is featurized once into integer code columns
     (:func:`~gridvad.featurize.observation_codes`); per granularity each
     distinct evidence key is queried once and its exact class posterior
-    is shared by every cell with that key. Results equal
-    :func:`score_object` on each detection bit for bit: per-object means
-    add the cells left to right, as ``sum()`` does. The raw frame score
-    is the minimum fused probability over the frame's objects (1.0 for
-    empty frames). Velocity evidence uses each track's previous detection
-    in the test stream. The ScoredObject fields come from the track set's
-    columns; no per-detection row object is built. Passing a dict as
-    ``timings`` records the number of posterior queries made.
+    is shared by every cell with that key. The objects come back as a
+    :class:`ScoreTable` of columns; no per-object result is built. Its
+    rows equal :func:`score_object` on each detection bit for bit:
+    per-object means add the cells left to right, as ``sum()`` does, and
+    the mean fusion adds the granularities left to right. The raw frame
+    score is the minimum fused probability over the frame's objects (1.0
+    for empty frames). Velocity evidence uses each track's previous
+    detection in the test stream. Passing a dict as ``timings`` records
+    the number of posterior queries made.
     """
+    if bundle.fusion not in FUSION_RULES:
+        raise ValueError(f"unknown fusion rule {bundle.fusion!r}")
     dets = test.detections
     stream = stream_columns(dets, bundle.kind)
     n = len(dets)
     index = {cid: i for i, cid in enumerate(bundle.class_ids)}
     class_index = np.fromiter((index.get(c, -1) for c in stream.class_id.tolist()),
                               np.int64, n)
-    means: dict[int, list[float]] = {}
-    cells: dict[int, list[tuple[CellScore, ...]]] = {}
+    per_granularity = np.zeros((n, len(bundle.granularities)))
+    cells = []
     possible = np.zeros(n, dtype=bool)
     queries = 0
-    for gran in bundle.granularities:
+    for k, gran in enumerate(bundle.granularities):
         owner, cell, probability, impossible, queried = _cell_scores(
             gran, bundle, stream, class_index)
         queries += queried
@@ -356,38 +500,30 @@ def score_frames(bundle: ModelBundle, test: TrackSet,
         # bincount adds each object's cells in stream order, left to right as
         # sum() does; np.add.reduceat pairs terms and can round differently
         total = np.bincount(owner, probability, minlength=n)
-        means[gran.grid.cell_size] = (total / np.maximum(count, 1)).tolist()
-        scores = map(CellScore, cell.tolist(), probability.tolist(), impossible.tolist())
-        cells[gran.grid.cell_size] = [tuple(islice(scores, k)) for k in count.tolist()]
+        per_granularity[:, k] = total / np.maximum(count, 1)
+        offsets = np.zeros(n + 1, np.int64)
+        np.cumsum(count, out=offsets[1:])
+        cells.append(CellColumns(offsets, cell, probability, impossible))
     if timings is not None:
         timings["posterior_queries"] = queries
 
-    prev_centers = [tuple(c) if p >= 0 else None for p, c in
-                    zip(stream.prev.tolist(), stream.center[stream.prev].tolist())]
-    gaps = [g if g >= 0 else None for g in stream.gap.tolist()]
-    known, possible = (class_index >= 0).tolist(), possible.tolist()
-    zeros = {g.grid.cell_size: 0.0 for g in bundle.granularities}
-    scored = []
-    for d, (frame, track_id, class_id, box) in enumerate(zip(
-            dets.frame.tolist(), dets.track_id.tolist(), dets.class_id.tolist(),
-            map(tuple, dets.box.tolist()))):
-        base = dict(frame=frame, track_id=track_id, class_id=class_id, box=box,
-                    prev_center=prev_centers[d], frame_gap=gaps[d])
-        if not known[d]:
-            scored.append(ScoredObject(per_granularity=dict(zeros), fused=0.0,
-                                       reason=REASON_UNSEEN_CLASS, **base))
-            continue
-        per_granularity = {cs: mean[d] for cs, mean in means.items()}
-        scored.append(ScoredObject(
-            per_granularity=per_granularity,
-            fused=fuse(list(per_granularity.values()), bundle.fusion),
-            reason=None if possible[d] else REASON_IMPOSSIBLE,
-            per_cell={cs: per_object[d] for cs, per_object in cells.items()}, **base))
+    # unseen-class rows have no cells, so their means and fused score are 0.0
+    if bundle.fusion == FUSION_MEAN:
+        fused = per_granularity[:, 0].copy()
+        for k in range(1, per_granularity.shape[1]):
+            fused += per_granularity[:, k]
+        fused /= per_granularity.shape[1]
+    else:
+        fused = per_granularity.min(axis=1)
+    known = class_index >= 0
+    reason = np.where(known, np.where(possible, 0, REASONS.index(REASON_IMPOSSIBLE)),
+                      REASONS.index(REASON_UNSEEN_CLASS))
     raw = np.ones(test.frame_count, dtype=float)
-    for s in scored:
-        raw[s.frame - 1] = min(raw[s.frame - 1], s.fused)
+    np.minimum.at(raw, dets.frame - 1, fused)
     smoothed = gaussian_smooth(raw, bundle.smoothing_sigma)
-    return scored, FrameScores(raw, smoothed)
+    table = ScoreTable(dets.frame, dets.track_id, dets.class_id, dets.box, stream.prev,
+                       stream.gap, bundle.cell_sizes, per_granularity, fused, reason, cells)
+    return table, FrameScores(raw, smoothed)
 
 
 # ---------------------------------------------------------------------------
@@ -546,22 +682,45 @@ def load_bundle(path) -> ModelBundle:
 # scores.jsonl
 
 
-def write_scores(path, scored: Sequence[ScoredObject], frame_scores: FrameScores) -> None:
-    """Per-object rows then per-frame rows, in the documented jsonl schema."""
+def _first_nonfinite(*columns: np.ndarray) -> int | None:
+    """The first row with a non-finite value in any of the (n,) or (n, k) columns."""
+    bad = np.zeros(len(columns[0]), dtype=bool)
+    for column in columns:
+        finite = np.isfinite(column)
+        bad |= ~(finite.all(axis=1) if finite.ndim == 2 else finite)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def write_scores(path, table: ScoreTable, frame_scores: FrameScores) -> None:
+    """Per-object rows then per-frame rows, in the documented jsonl schema.
+
+    Each line is formatted straight from the table's columns, with the
+    bytes ``json.dumps`` writes for the same row: ints in ``int`` form,
+    floats as ``float.__repr__`` gives them, the default separators and
+    the key order below; reason codes become strings only here. A
+    non-finite box or score, which JSON cannot hold, raises ValueError
+    naming the object or frame before anything is written.
+    """
+    raw = np.asarray(frame_scores.raw, dtype=np.float64)
+    smoothed = np.asarray(frame_scores.smoothed, dtype=np.float64)
+    bad = _first_nonfinite(table.box, table.fused, table.per_granularity)
+    if bad is not None:
+        raise ValueError(f"object {table.track_id[bad]} in frame {table.frame[bad]} has a "
+                         "non-finite box or score")
+    bad = _first_nonfinite(raw, smoothed)
+    if bad is not None:
+        raise ValueError(f"frame {bad + 1} has a non-finite raw or smoothed score")
+    granularities = ", ".join(f'"{cs}": %r' for cs in table.cell_sizes)
+    object_row = ('{"frame": %d, "id": %d, "class": %d, "box": [%r, %r, %r, %r], '
+                  f'"score": %r, "per_granularity": {{{granularities}}}, "reason": %s}}\n')
+    reasons = [json.dumps(r) for r in REASONS]
     with open(path, "w", encoding="utf-8") as fh:
-        for s in scored:
-            fh.write(json.dumps({
-                "frame": s.frame, "id": s.track_id, "class": s.class_id,
-                "box": list(s.box), "score": s.fused,
-                "per_granularity": {str(cs): p for cs, p in s.per_granularity.items()},
-                "reason": s.reason,
-            }) + "\n")
-        for i in range(len(frame_scores)):
-            fh.write(json.dumps({
-                "frame": i + 1,
-                "raw": float(frame_scores.raw[i]),
-                "smoothed": float(frame_scores.smoothed[i]),
-            }) + "\n")
+        fh.writelines(map(object_row.__mod__, zip(
+            table.frame.tolist(), table.track_id.tolist(), table.class_id.tolist(),
+            *table.box.T.tolist(), table.fused.tolist(), *table.per_granularity.T.tolist(),
+            map(reasons.__getitem__, table.reason.tolist()))))
+        fh.writelines(map('{"frame": %d, "raw": %r, "smoothed": %r}\n'.__mod__, zip(
+            range(1, len(raw) + 1), raw.tolist(), smoothed.tolist())))
 
 
 def read_scores(path) -> tuple[list[ScoredObject], FrameScores]:

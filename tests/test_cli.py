@@ -54,8 +54,8 @@ class TestPipelineComposition:
 
     def test_score_manifest_records_inference_averages(self, workspace):
         manifest = json.loads((workspace / "scores.jsonl.manifest.json").read_text())
-        for key in ("per_cell_seconds_mean", "per_object_seconds_mean",
-                    "per_frame_seconds_mean"):
+        for key in ("score_seconds", "write_seconds", "per_cell_seconds_mean",
+                    "per_object_seconds_mean", "per_frame_seconds_mean"):
             assert manifest["timings"][key] > 0
 
     def test_score_manifest_counts_unseen_and_impossible_objects(self, workspace):
@@ -65,6 +65,11 @@ class TestPipelineComposition:
         timings = manifest["timings"]
         assert timings["unseen_class_objects"] == reasons.count("unseen-class") >= 1
         assert timings["impossible_objects"] == reasons.count("impossible-evidence") >= 1
+        # the counts the per-object score path gave on this scene
+        assert {k: v for k, v in timings.items() if not k.endswith("_seconds_mean")
+                and not k.endswith("_seconds")} == {
+            "cells_queried": 19326, "posterior_queries": 393, "objects": 5909,
+            "frames": 600, "unseen_class_objects": 61, "impossible_objects": 243}
 
     def test_score_manifest_counts_posterior_queries(self, workspace, monkeypatch, tmp_path):
         calls = []
@@ -134,6 +139,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
         assert run_cli("train", "--tracks", bad) == 1
+
+    def test_malformed_ground_truth_is_runtime_error(self, workspace, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text('{"frame": 60, "gt_id": 0, "box": [1, 2, 3, 4]}\n'
+                      '{"frame": 61, "gt_id": 0, "box": [NaN, 2, 3, 4]}\n')
+        assert run_cli("eval", "--scores", workspace / "scores.jsonl", "--gt", gt,
+                       "--report", tmp_path / "report.json") == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_preset_is_usage_error(self, tmp_path):
         assert run_cli("synth", "--preset", "reference", "--out-dir", tmp_path,

@@ -7,6 +7,7 @@ import pytest
 
 from gridvad.ingest import (
     ConfidenceThresholds,
+    GtRegion,
     TrackFileError,
     TrackSet,
     TrackedDetection,
@@ -156,6 +157,50 @@ class TestRoundTrip:
         write_ground_truth(gt, buffer)
         buffer.seek(0)
         assert parse_ground_truth(buffer) == gt
+
+
+
+def gt_text(*rows: str) -> io.StringIO:
+    """Ground-truth lines after one good row, so a bad row sits on line 2."""
+    return io.StringIO("\n".join(['{"frame": 1, "gt_id": 0, "box": [1, 2, 3, 4]}', *rows])
+                       + "\n")
+
+
+class TestGroundTruthRows:
+    """Ground-truth fields are read by the track rules and fail with their line."""
+
+    def test_fractional_frame_rejected(self):
+        with pytest.raises(TrackFileError, match="line 2: frame must be a 64-bit integer"):
+            parse_ground_truth(gt_text('{"frame": 2.7, "gt_id": 0, "box": [1, 2, 3, 4]}'))
+
+    def test_boolean_gt_id_rejected(self):
+        with pytest.raises(TrackFileError, match="line 2: gt_id must be a 64-bit integer"):
+            parse_ground_truth(gt_text('{"frame": 3, "gt_id": true, "box": [1, 2, 3, 4]}'))
+
+    def test_string_box_rejected(self):
+        with pytest.raises(TrackFileError, match="line 2: box must be a list of numbers"):
+            parse_ground_truth(gt_text('{"frame": 3, "gt_id": 1, "box": "1234"}'))
+
+    def test_nan_coordinate_rejected(self):
+        with pytest.raises(TrackFileError, match="line 2: .* is not finite"):
+            parse_ground_truth(gt_text('{"frame": 2, "gt_id": 0, "box": [NaN, 2, 3, 4]}'))
+
+    def test_infinite_coordinate_rejected(self):
+        with pytest.raises(TrackFileError, match="line 2: .* is not finite"):
+            parse_ground_truth(gt_text('{"frame": 2, "gt_id": 0, "box": [1, 2, Infinity, 4]}'))
+
+    def test_non_numeric_coordinate_rejected(self):
+        with pytest.raises(TrackFileError, match="line 2: box coordinate must be a number"):
+            parse_ground_truth(gt_text('{"frame": 2, "gt_id": 0, "box": [1, 2, "x", 4]}'))
+
+    def test_wrong_coordinate_count_rejected(self):
+        with pytest.raises(TrackFileError, match="line 2: box must have 4 coordinates"):
+            parse_ground_truth(gt_text('{"frame": 2, "gt_id": 0, "box": [1, 2, 3]}'))
+
+    def test_integral_floats_and_numeric_strings_read(self):
+        gt = parse_ground_truth(gt_text('{"frame": 3.0, "gt_id": "7", "box": ["1.5", 2, 3, 4]}'))
+        assert gt.regions[1] == GtRegion(3, 7, (1.5, 2.0, 3.0, 4.0))
+        assert type(gt.regions[1].frame) is int and type(gt.regions[1].gt_id) is int
 
 
 def tracks_with_confidences(person: list[float], other: list[float]) -> TrackSet:

@@ -186,8 +186,8 @@ class TestSharedPosteriors:
         shared = reference_run["scored"]
         assert len(shared) == len(alone)
         for s, a in zip(shared, alone):
-            assert (s.per_cell, s.per_granularity, s.fused, s.reason) == (
-                a.per_cell, a.per_granularity, a.fused, a.reason)
+            assert s == a  # every field: scores, per-cell trace, ids, box, predecessor
+        assert shared == alone and [shared[i] for i in range(len(shared))] == alone
 
     def test_wide_whole_box_mean_adds_cells_left_to_right(self):
         """A 16-cell object whose per-cell mean depends on the summation order."""

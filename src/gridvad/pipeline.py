@@ -19,8 +19,10 @@ probability under every network.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -367,9 +369,15 @@ def object_evidence(bundle: ModelBundle, gran: GranularityModel, class_id: int,
     return out
 
 
+def _mean(values: Sequence[float]) -> float:
+    """Mean with the terms added left to right, as :func:`score_frames` adds them;
+    ``sum()`` of floats is compensated from Python 3.12 and can round differently."""
+    return functools.reduce(operator.add, values) / len(values)
+
+
 def fuse(values: Sequence[float], rule: str) -> float:
     if rule == FUSION_MEAN:
-        return sum(values) / len(values)
+        return _mean(values)
     if rule == FUSION_MIN:
         return min(values)
     raise ValueError(f"unknown fusion rule {rule!r}")
@@ -413,8 +421,7 @@ def score_object(bundle: ModelBundle, det: TrackedDetection,
                 all_impossible = False
             cell_scores.append(CellScore(cell, probability, posterior.impossible))
         per_cell[gran.grid.cell_size] = tuple(cell_scores)
-        per_granularity[gran.grid.cell_size] = (
-            sum(c.probability for c in cell_scores) / len(cell_scores))
+        per_granularity[gran.grid.cell_size] = _mean([c.probability for c in cell_scores])
     fused = fuse(list(per_granularity.values()), bundle.fusion)
     reason = REASON_IMPOSSIBLE if all_impossible else None
     return ScoredObject(per_granularity=per_granularity, fused=fused,
@@ -472,7 +479,7 @@ def score_frames(bundle: ModelBundle, test: TrackSet,
     is shared by every cell with that key. The objects come back as a
     :class:`ScoreTable` of columns; no per-object result is built. Its
     rows equal :func:`score_object` on each detection bit for bit:
-    per-object means add the cells left to right, as ``sum()`` does, and
+    per-object means add the cells left to right, as ``_mean`` does, and
     the mean fusion adds the granularities left to right. The raw frame
     score is the minimum fused probability over the frame's objects (1.0
     for empty frames). Velocity evidence uses each track's previous
@@ -498,7 +505,7 @@ def score_frames(bundle: ModelBundle, test: TrackSet,
         possible[owner[~impossible]] = True
         count = np.bincount(owner, minlength=n)
         # bincount adds each object's cells in stream order, left to right as
-        # sum() does; np.add.reduceat pairs terms and can round differently
+        # _mean does; np.add.reduceat pairs terms and can round differently
         total = np.bincount(owner, probability, minlength=n)
         per_granularity[:, k] = total / np.maximum(count, 1)
         offsets = np.zeros(n + 1, np.int64)

@@ -22,8 +22,9 @@ lane's attribute bins identical between splits.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Sequence
+import types
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -225,15 +226,45 @@ def script_to_dict(script: SceneScript) -> dict:
     return asdict(script)
 
 
+def _checked(value, hint, where: str):
+    """A script field's JSON value checked against its type hint; lists become tuples."""
+    if get_origin(hint) is types.UnionType:  # an optional field, X | None
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        if not isinstance(value, (list, tuple)) or (
+                items[-1] is not Ellipsis and len(value) != len(items)):
+            size = "" if items[-1] is Ellipsis else f" of {len(items)}"
+            raise ScriptError(f"scene script field {where} must be a list{size}")
+        return tuple(_checked(item, items[0], f"{where}[{i}]") for i, item in enumerate(value))
+    if is_dataclass(hint):
+        return _record(hint, value, where)
+    if type(value) is bool or not isinstance(value, (int, float) if hint is float else hint):
+        raise ScriptError(f"scene script field {where} must be {hint.__name__}, "
+                          f"not {type(value).__name__}")
+    return value
+
+
+def _record(cls, payload, where: str):
+    """A script dataclass from its JSON object, each field checked by :func:`_checked`."""
+    if not isinstance(payload, dict):
+        raise ScriptError(f"scene script {where or 'file'} must be a JSON object")
+    hints = get_type_hints(cls)
+    prefix = f"{where}." if where else ""
+    for name in sorted(payload.keys() - hints.keys()):
+        raise ScriptError(f"scene script has unknown field {prefix}{name}")
+    for field in fields(cls):
+        if field.name not in payload and field.default is MISSING:
+            raise ScriptError(f"scene script is missing field {prefix}{field.name}")
+    return cls(**{name: _checked(value, hints[name], prefix + name)
+                  for name, value in payload.items()})
+
+
 def script_from_dict(payload: dict) -> SceneScript:
-    lanes = tuple(Lane(**{**lane, "bottom_range": tuple(lane["bottom_range"]),
-                          "speed_range": tuple(lane["speed_range"]),
-                          "confidence_range": tuple(lane["confidence_range"])})
-                  for lane in payload["lanes"])
-    injections = tuple(Injection(**inj) for inj in payload.get("injections", ()))
-    return SceneScript(tuple(payload["resolution"]), int(payload["train_frames"]),
-                       int(payload["test_frames"]), lanes, injections,
-                       int(payload.get("seed", 0)))
+    """A scene script from JSON; a ScriptError names a missing, unknown or mistyped field."""
+    return _record(SceneScript, payload, "")
 
 
 def load_script(path) -> SceneScript:

@@ -157,6 +157,25 @@ class TestExitCodes:
         assert run_cli("train") == 2
 
 
+class TestExplainGranularity:
+    def test_size_the_bundle_lacks_is_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "explanation.json"
+        assert run_cli("explain", "--model", workspace / "model.bundle",
+                       "--tracks", workspace / "data" / "test_tracks.jsonl",
+                       "--frame", 75, "--track-id", 32, "--granularity", 30,
+                       "--out", out) == 2
+        assert "cell sizes 40, 80" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["coarse", "0", "40,80"])
+    def test_other_text_is_rejected_by_the_flag(self, capsys, text):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("explain", "--model", "m.bundle", "--tracks", "t.jsonl",
+                    "--frame", 1, "--track-id", 0, "--granularity", text)
+        assert excinfo.value.code == 2
+        assert "--granularity" in capsys.readouterr().err
+
+
 class TestResolutionCheck:
     @pytest.mark.parametrize("command", ["score", "explain"])
     @pytest.mark.parametrize("width,height", [(1280, 720), (320, 180)])
@@ -260,6 +279,67 @@ class TestConfigFile:
         config.write_text(json.dumps({"tracks": str(tmp_path / "unread.jsonl"), key: value}))
         assert run_cli("train", "--config", config) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "out", 5), ("train", "tracks", ["a.jsonl"]),
+        ("train", "smoothing_sigma", [1]), ("train", "smoothing_sigma", "abc"),
+        ("train", "no_filter", "false"), ("synth", "seed", 1.5), ("synth", "seed", True),
+        ("explain", "track_id", 32.9), ("train", "mode", "bogus"), ("train", "cell", "40"),
+    ], ids=["out-int", "tracks-list", "sigma-list", "sigma-text", "switch-text",
+            "seed-float", "seed-bool", "track-id-float", "mode-choice", "unknown-key"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                             command, key, value):
+        required = {"synth": {}, "train": {"tracks": "unread.jsonl"},
+                    "explain": {"model": "unread.bundle", "tracks": "unread.jsonl", "frame": 1}}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**required[command], key: value}))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, "--config", config) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_config_with_every_option_equals_flags(self, workspace, tmp_path, monkeypatch):
+        data, model = workspace / "data", workspace / "model.bundle"
+        runs = {
+            "synth": {"script": data / "scene.json", "preset": "temporal", "seed": "7",
+                      "out_dir": "data"},
+            "train": {"tracks": data / "train_tracks.jsonl", "format": "jsonl",
+                      "cells": "40,80", "mode": "spatial", "slice": "3", "no_filter": True,
+                      "box_mode": "whole", "fusion": "min", "smoothing_sigma": "2.5",
+                      "out": "model.bundle", "dump_observations": "obs"},
+            "score": {"model": model, "tracks": data / "test_tracks.jsonl", "format": "jsonl",
+                      "out": "scores.jsonl", "threads": "2"},
+            "eval": {"scores": workspace / "scores.jsonl", "gt": data / "gt.jsonl",
+                     "report": "report.json"},
+            "explain": {"model": model, "tracks": data / "test_tracks.jsonl",
+                        "format": "jsonl", "frame": "75", "track_id": "32",
+                        "granularity": "all", "out": "explanation.json"},
+        }
+        for command, options in runs.items():
+            by_flags, by_config = tmp_path / command / "flags", tmp_path / command / "config"
+            by_flags.mkdir(parents=True)
+            by_config.mkdir()
+            flags = []
+            for key, value in options.items():
+                flags += ["--" + key.replace("_", "-")] + ([] if value is True else [value])
+            config = tmp_path / f"{command}.json"
+            config.write_text(json.dumps({k: v if v is True else str(v)
+                                          for k, v in options.items()}))
+            monkeypatch.chdir(by_flags)
+            assert run_cli(command, *flags) == 0
+            monkeypatch.chdir(by_config)
+            assert run_cli(command, "--config", config) == 0
+            written = sorted(p.relative_to(by_flags) for p in by_flags.rglob("*") if p.is_file())
+            assert written == sorted(p.relative_to(by_config)
+                                     for p in by_config.rglob("*") if p.is_file())
+            for name in written:
+                expected, got = (by_flags / name).read_bytes(), (by_config / name).read_bytes()
+                if name.name.endswith(".manifest.json"):
+                    expected, got = (json.loads(b)["config"] for b in (expected, got))
+                assert got == expected, (command, name)
 
 
 class TestMotPath:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridvad.featurize import (
     DIRECTION_CATEGORIES,
@@ -26,7 +27,7 @@ from gridvad.featurize import (
     size_category,
     velocity_category,
 )
-from gridvad.ingest import TrackSet, TrackedDetection
+from gridvad.ingest import TrackSet, TrackedDetection, slice_frames
 
 from conftest import decoded
 
@@ -159,6 +160,30 @@ class TestDiscretizer:
         model = fit_discretizer(track_set([(1, 0, 1, (0, 0, 10, 10))]))
         with pytest.raises(UnseenClassError):
             model.stats(3)
+
+    # steps whose length is an integer, so a k-frame step over gap k is the same float
+    STEPS = [(0, 0), (1, 0), (0, -2), (3, 4), (-4, 3), (5, -12), (-6, -8)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 4), spans=st.integers(1, 4),
+           tracks=st.lists(st.tuples(st.sampled_from([1, 3]), st.sampled_from(STEPS),
+                                     st.integers(4, 40), st.integers(4, 40)),
+                           min_size=1, max_size=5))
+    def test_statistics_invariant_under_frame_slicing(self, k, spans, tracks):
+        # every track spans frames 1 .. spans * k + 1, so slicing by k keeps each
+        # track's share of the areas and of the speeds
+        rows = [(f, tid, cls, (100 + dx * f, 200 + dy * f, 100 + dx * f + w, 200 + dy * f + h))
+                for tid, (cls, (dx, dy), w, h) in enumerate(tracks)
+                for f in range(1, spans * k + 2)]
+        full = fit_discretizer(track_set(rows))
+        sliced = fit_discretizer(slice_frames(track_set(rows), k))
+        assert full.per_class.keys() == sliced.per_class.keys()
+        for cls, stats in full.per_class.items():
+            got = sliced.per_class[cls]
+            # integer areas and speeds sum exactly; the squared deviations need not
+            assert (got.size_mean, got.speed_mean) == (stats.size_mean, stats.speed_mean)
+            assert got.size_std == pytest.approx(stats.size_std, rel=1e-12, abs=1e-12)
+            assert got.speed_std == pytest.approx(stats.speed_std, rel=1e-12, abs=1e-12)
 
 
 MODEL = DiscretizationModel({1: ClassStats(200.0, math.sqrt(20000.0 / 3.0), 2.0, 1.0),

@@ -265,6 +265,16 @@ class TestSweepProperties:
                 assert tprs == sorted(tprs)
                 assert xs == sorted(xs)
 
+    def test_auc_within_unit_interval(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            scored, gt, n_frames = random_scenario(rng)
+            for points in detection_curves(scored, gt, n_frames):
+                assert 0.0 <= curve_auc(points) <= 1.0
+            # coarse signal values make ties; both labels occur
+            labels = rng.permutation(np.arange(n_frames) < rng.integers(1, n_frames))
+            assert 0.0 <= roc_auc(np.round(rng.random(n_frames), 1), labels) <= 1.0
+
     def test_fp_rate_cap_interpolation(self):
         points = [RocPoint(-math.inf, 0.0, 0.0), RocPoint(0.5, 1.0, 0.0),
                   RocPoint(1.0, 1.0, 2.0)]

@@ -83,6 +83,10 @@ class TestFusion:
     def test_mean(self):
         assert fuse([0.3, 0.5], "mean") == pytest.approx(0.4)
 
+    def test_mean_adds_left_to_right(self):
+        # as score_frames adds; sum() is compensated from Python 3.12
+        assert fuse([0.1, 0.2, 0.3], "mean") == ((0.1 + 0.2) + 0.3) / 3
+
     def test_min(self):
         assert fuse([0.3, 0.5], "min") == 0.3
 
@@ -206,6 +210,10 @@ class TestSharedPosteriors:
         probabilities = [c.probability for c in alone.per_cell[20]]
         assert len(probabilities) == 16
         assert sum(probabilities) != np.add.reduce(np.array(probabilities))
+        total = 0.0
+        for probability in probabilities:
+            total += probability
+        assert alone.per_granularity[20] == total / len(probabilities)
         scored, _ = score_frames(bundle, TrackSet((160, 120), 1, (det,)))
         assert scored == [alone]
         # next to objects of fewer cells, before and after it in the stream

@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
 import io
+import json
+import re
 
 import pytest
 
+from gridvad.cli import main
 from gridvad.featurize import fit_discretizer, generate_observations, build_grid
 from gridvad.ingest import write_ground_truth, write_tracks
 from gridvad.synth import (
@@ -158,3 +161,20 @@ class TestScriptSerialization:
     def test_round_trip(self, factory):
         script = factory()
         assert script_from_dict(script_to_dict(script)) == script
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.pop("lanes"), "lanes"),
+        (lambda d: d["lanes"][0].pop("bottom_range"), "lanes[0].bottom_range"),
+        (lambda d: d["lanes"][1].update(lane_width=4), "lanes[1].lane_width"),
+        (lambda d: d["lanes"][0].update(spawn_interval="35"), "lanes[0].spawn_interval"),
+    ], ids=["missing", "missing-in-lane", "unknown", "wrong-type"])
+    def test_bad_field_is_named(self, tmp_path, capsys, edit, field):
+        payload = json.loads(json.dumps(script_to_dict(reference_script())))
+        edit(payload)
+        with pytest.raises(ScriptError, match=re.escape(field)):
+            script_from_dict(payload)
+        script = tmp_path / "scene.json"
+        script.write_text(json.dumps(payload))
+        assert main(["synth", "--script", str(script), "--out-dir", str(tmp_path / "data")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()

@@ -278,9 +278,9 @@ def _cmd_explain(args) -> int:
     else:
         raise TrackFileError(f"no detection with track id {args.track_id} "
                              f"in frame {args.frame}")
-    explanation = explain_object(bundle, scored)
-    explanation = dataclasses.replace(
-        explanation, cells=tuple(c for c in explanation.cells if c.cell_size in sizes))
+    # the score comes from every granularity, the breakdowns only from those asked for
+    explanation = explain_object(dataclasses.replace(bundle, granularities=tuple(
+        g for g in bundle.granularities if g.grid.cell_size in sizes)), scored)
     write_explanation(explanation, args.out)
     _write_manifest(args.out, "explain", _echo(args), {})
     print(f"object {args.track_id}@{args.frame}: score={scored.fused:.6f} "

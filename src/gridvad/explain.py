@@ -39,9 +39,6 @@ class RvBreakdown:
     rank: int
     impossible: bool
 
-    def distribution(self) -> dict:
-        return dict(zip(self.labels, self.probabilities))
-
 
 @dataclass(frozen=True)
 class CellExplanation:
@@ -175,7 +172,7 @@ def explain_object(bundle: ModelBundle, scored: ScoredObject) -> ObjectExplanati
 # JSON output
 
 
-def _breakdown_payload(rv: str, b: RvBreakdown) -> dict:
+def _breakdown_payload(b: RvBreakdown) -> dict:
     return {
         "categories": [str(l) for l in b.labels],
         "probabilities": list(b.probabilities),
@@ -205,7 +202,7 @@ def explanation_to_dict(explanation: ObjectExplanation) -> dict:
             "cell": c.cell,
             "assignment": {k: str(v) for k, v in c.assignment.items()},
             "class_score": c.class_score,
-            "breakdowns": {rv: _breakdown_payload(rv, b)
+            "breakdowns": {rv: _breakdown_payload(b)
                            for rv, b in c.breakdowns.items()},
         } for c in explanation.cells],
     }

@@ -23,12 +23,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .ingest import Box, GroundTruth
-from .pipeline import FrameScores, ScoredObject
+from .pipeline import FrameScores, ScoredObject, ScoreTable
 
 log = logging.getLogger(__name__)
 
-DEFAULT_IOU_THRESHOLD = 0.1
-DEFAULT_TRACK_COVERAGE = 0.1
+IOU_THRESHOLD = 0.1
+TRACK_COVERAGE = 0.1
 FP_RATE_CAP = 1.0
 
 
@@ -77,24 +77,22 @@ def frame_auc(frame_scores: FrameScores, gt: GroundTruth) -> float:
     return roc_auc(signal, labels)
 
 
-def _detection_matches(objects: Sequence[tuple[int, Box, float]], gt: GroundTruth,
-                       iou_threshold: float) -> list[tuple[int, ...]]:
-    regions = gt.regions
-    by_frame: dict[int, list[int]] = {}
-    for idx, region in enumerate(regions):
-        by_frame.setdefault(region.frame, []).append(idx)
-    matches = []
-    for frame, box, _score in objects:
-        hits = tuple(idx for idx in by_frame.get(frame, ())
-                     if iou(box, regions[idx].box) >= iou_threshold)
-        matches.append(hits)
-    return matches
+def _object_columns(scored) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame, (n, 4) box and score columns; a ScoreTable gives its own."""
+    if isinstance(scored, ScoreTable):
+        return scored.frame, scored.box, scored.fused
+    return (np.array([s.frame for s in scored], dtype=np.int64),
+            np.array([s.box for s in scored], dtype=float).reshape(-1, 4),
+            np.array([s.fused for s in scored], dtype=float))
 
 
-def detection_curves(scored: Sequence[ScoredObject], gt: GroundTruth, num_frames: int,
-                     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-                     track_coverage: float = DEFAULT_TRACK_COVERAGE,
-                     ) -> tuple[list[RocPoint], list[RocPoint]]:
+def _coverage_count(size: int) -> int:
+    """The fewest detected regions that cover a track of ``size`` regions."""
+    return next(h for h in range(1, size + 1) if h / size >= TRACK_COVERAGE)
+
+
+def detection_curves(scored: Sequence[ScoredObject] | ScoreTable, gt: GroundTruth,
+                     num_frames: int) -> tuple[list[RocPoint], list[RocPoint]]:
     """Region and track sweep curves over the distinct score thresholds.
 
     At threshold t every detection with score <= t is flagged. A GT region
@@ -103,55 +101,51 @@ def detection_curves(scored: Sequence[ScoredObject], gt: GroundTruth, num_frames
     detections overlapping no GT region at all count as false positives,
     reported per frame on the x axis. Both curves start at the -inf
     sentinel point (0, 0).
+
+    The curves come from first-detection scores: a region's is the lowest
+    score among the detections overlapping it, a track's the score at
+    which its h-th region is detected (h the fewest regions that cover
+    it). The point at t counts the region, track and false-positive
+    scores <= t.
     """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
-    regions = gt.regions
-    n_regions = len(regions)
-    track_sizes = gt.track_sizes()
-    n_tracks = len(track_sizes)
-    # one pass over the objects: a ScoreTable builds each one as it is read
-    objects = [(s.frame, s.box, s.fused) for s in scored]
-    matches = _detection_matches(objects, gt, iou_threshold)
-    scores = [score for _frame, _box, score in objects]
-    order = sorted(range(len(scores)), key=scores.__getitem__)
-    region_hit = [False] * n_regions
-    track_hits = {tid: 0 for tid in track_sizes}
-    detected_regions = 0
-    detected_tracks = 0
-    fp_count = 0
-    region_points = [RocPoint(-math.inf, 0.0, 0.0)]
-    track_points = [RocPoint(-math.inf, 0.0, 0.0)]
-    pos = 0
-    while pos < len(order):
-        threshold = scores[order[pos]]
-        while pos < len(order) and scores[order[pos]] == threshold:
-            det_idx = order[pos]
-            hits = matches[det_idx]
-            if not hits:
-                fp_count += 1
-            else:
-                for region_idx in hits:
-                    if region_hit[region_idx]:
-                        continue
-                    region_hit[region_idx] = True
-                    detected_regions += 1
-                    tid = regions[region_idx].gt_id
-                    track_hits[tid] += 1
-                    size = track_sizes[tid]
-                    covered_now = track_hits[tid] / size >= track_coverage
-                    covered_before = (track_hits[tid] - 1) / size >= track_coverage
-                    if covered_now and not covered_before:
-                        detected_tracks += 1
-            pos += 1
-        fp_rate = fp_count / num_frames
-        region_points.append(RocPoint(threshold,
-                                      detected_regions / n_regions if n_regions else 0.0,
-                                      fp_rate))
-        track_points.append(RocPoint(threshold,
-                                     detected_tracks / n_tracks if n_tracks else 0.0,
-                                     fp_rate))
-    return region_points, track_points
+    frames, boxes, scores = _object_columns(scored)
+    if not np.isfinite(scores).all():
+        raise ValueError("detection scores must be finite")
+    # the detections in a region's frame are a run of the frame-sorted ones
+    by_frame = np.argsort(frames, kind="stable")
+    region_frames = [r.frame for r in gt.regions]
+    starts = np.searchsorted(frames[by_frame], region_frames, side="left").tolist()
+    stops = np.searchsorted(frames[by_frame], region_frames, side="right").tolist()
+    box_rows, score_list = boxes.tolist(), scores.tolist()
+    false_positive = np.ones(len(scores), dtype=bool)
+    region_first: list[float] = []
+    per_track: dict[int, list[float]] = {}
+    for region, start, stop in zip(gt.regions, starts, stops):
+        hits = [d for d in by_frame[start:stop].tolist()
+                if iou(box_rows[d], region.box) >= IOU_THRESHOLD]
+        false_positive[hits] = False
+        # inf, above every (finite) score, marks a region no detection overlaps
+        first = min((score_list[d] for d in hits), default=math.inf)
+        region_first.append(first)
+        per_track.setdefault(region.gt_id, []).append(first)
+    track_first = [sorted(firsts)[_coverage_count(len(firsts)) - 1]
+                   for firsts in per_track.values()]
+    # equal scores make one threshold: the first of them in stream order
+    thresholds = scores[np.unique(scores, return_index=True)[1]]
+
+    def rates(values, total: int) -> list[float]:
+        """Per threshold, the count of ``values`` <= it over ``total``."""
+        return (np.searchsorted(np.sort(values), thresholds, side="right") / total).tolist()
+
+    # with no regions every tpr is 0 / 1
+    fp_rates = rates(scores[false_positive], num_frames)
+    region_tprs = rates(region_first, max(len(region_first), 1))
+    track_tprs = rates(track_first, max(len(track_first), 1))
+    sentinel = [RocPoint(-math.inf, 0.0, 0.0)]
+    return (sentinel + list(map(RocPoint, thresholds.tolist(), region_tprs, fp_rates)),
+            sentinel + list(map(RocPoint, thresholds.tolist(), track_tprs, fp_rates)))
 
 
 def curve_auc(points: Sequence[RocPoint], cap: float = FP_RATE_CAP) -> float:
@@ -171,25 +165,23 @@ def curve_auc(points: Sequence[RocPoint], cap: float = FP_RATE_CAP) -> float:
     return area / cap
 
 
-def rbdc(scored: Sequence[ScoredObject], gt: GroundTruth, num_frames: int,
-         iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> float:
+def rbdc(scored: Sequence[ScoredObject] | ScoreTable, gt: GroundTruth,
+         num_frames: int) -> float:
     """Region-based detection criterion."""
     if not gt.regions:
         log.warning("RBDC undefined: ground truth has no regions")
         return math.nan
-    region_points, _ = detection_curves(scored, gt, num_frames, iou_threshold)
+    region_points, _ = detection_curves(scored, gt, num_frames)
     return curve_auc(region_points)
 
 
-def tbdc(scored: Sequence[ScoredObject], gt: GroundTruth, num_frames: int,
-         iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-         track_coverage: float = DEFAULT_TRACK_COVERAGE) -> float:
+def tbdc(scored: Sequence[ScoredObject] | ScoreTable, gt: GroundTruth,
+         num_frames: int) -> float:
     """Track-based detection criterion."""
     if not gt.regions:
         log.warning("TBDC undefined: ground truth has no tracks")
         return math.nan
-    _, track_points = detection_curves(scored, gt, num_frames, iou_threshold,
-                                       track_coverage)
+    _, track_points = detection_curves(scored, gt, num_frames)
     return curve_auc(track_points)
 
 
@@ -206,14 +198,15 @@ class MetricsReport:
         return (self.rbdc + self.tbdc) / 2.0
 
 
-def evaluate(scored: Sequence[ScoredObject], frame_scores: FrameScores,
-             gt: GroundTruth, iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-             track_coverage: float = DEFAULT_TRACK_COVERAGE) -> MetricsReport:
-    """All four numbers plus the sweep curves for plotting."""
+def evaluate(scored: Sequence[ScoredObject] | ScoreTable, frame_scores: FrameScores,
+             gt: GroundTruth) -> MetricsReport:
+    """All four numbers plus the sweep curves for plotting.
+
+    A :class:`ScoreTable` is read through its frame, box and score columns.
+    """
     auc = frame_auc(frame_scores, gt)
     if gt.regions:
-        region_points, track_points = detection_curves(
-            scored, gt, len(frame_scores), iou_threshold, track_coverage)
+        region_points, track_points = detection_curves(scored, gt, len(frame_scores))
         region_auc = curve_auc(region_points)
         track_auc = curve_auc(track_points)
     else:

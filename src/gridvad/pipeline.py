@@ -50,7 +50,7 @@ from .featurize import (
     observation_codes,
     stream_columns,
 )
-from .ingest import ConfidenceThresholds, TrackSet, TrackedDetection
+from .ingest import ConfidenceThresholds, TrackFileError, TrackSet, TrackedDetection, _json_integer
 
 BUNDLE_FORMAT = "gridvad-bundle"
 BUNDLE_VERSION = 1
@@ -73,14 +73,19 @@ class TrainConfig:
     def __post_init__(self):
         if not self.cell_sizes:
             raise ValueError("at least one cell size is required")
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.box_mode not in BOX_MODES:
-            raise ValueError(f"unknown box mode {self.box_mode!r}")
-        if self.fusion not in FUSION_RULES:
-            raise ValueError(f"unknown fusion rule {self.fusion!r}")
-        if self.smoothing_sigma < 0:
-            raise ValueError("smoothing sigma must be >= 0")
+        _check_settings(self.kind, self.box_mode, self.fusion, self.smoothing_sigma)
+
+
+def _check_settings(kind, box_mode, fusion, smoothing_sigma, where: str = "") -> None:
+    """Reject a model setting the scorer does not know, naming its field after ``where``."""
+    for name, value, known in (("kind", kind, MODEL_KINDS), ("box_mode", box_mode, BOX_MODES),
+                               ("fusion", fusion, FUSION_RULES)):
+        if value not in known:
+            raise ValueError(f"{where}{name} must be one of {', '.join(known)}, not {value!r}")
+    if (isinstance(smoothing_sigma, bool) or not isinstance(smoothing_sigma, (int, float))
+            or not 0 <= smoothing_sigma < math.inf):
+        raise ValueError(f"{where}smoothing_sigma must be a finite number >= 0, "
+                         f"not {smoothing_sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -582,11 +587,15 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
     }
 
 
-def _check_granularity(gran: GranularityModel, resolution: tuple[int, int],
+def _check_granularity(gran: GranularityModel, kind: str, resolution: tuple[int, int],
                        class_ids: tuple[int, ...]) -> None:
-    """Reject a granularity whose grid, cardinalities or classes disagree with the bundle."""
+    """Reject a granularity whose grid, variables or classes disagree with the bundle."""
     grid, cards = gran.grid, gran.net.dag.cardinalities()
     where = f"bundle granularity with cell_size {grid.cell_size}"
+    motion = sorted({"V", "D"} & cards.keys())
+    if motion != (["D", "V"] if kind == SPATIOTEMPORAL else []):
+        raise ValueError(f"{where}: the bundle's kind {kind!r} does not fit a net with "
+                         f"{' and '.join(motion) or 'neither D nor V'}")
     expected = build_grid(resolution, grid.cell_size)
     for name in ("cols", "rows", "resolution"):
         have, want = getattr(grid, name), getattr(expected, name)
@@ -630,6 +639,9 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
     if payload.get("version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {payload.get('version')}")
     try:
+        kind, box_mode, fusion, sigma = (payload[key] for key in (
+            "kind", "box_mode", "fusion", "smoothing_sigma"))
+        _check_settings(kind, box_mode, fusion, sigma, where="bundle field ")
         resolution = tuple(payload["resolution"])
         class_ids = tuple(int(c) for c in payload["class_ids"])
         granularities = []
@@ -661,16 +673,15 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                                    _array(c["table"], float, 2, f"{at}.table"),
                                    _array(c["observed"], bool, 1, f"{at}.observed")))
             gran = GranularityModel(grid, disc, bn.BayesNet(dag, tuple(cpts)))
-            _check_granularity(gran, resolution, class_ids)
+            _check_granularity(gran, kind, resolution, class_ids)
             if any(other.grid.cell_size == grid.cell_size for other in granularities):
                 raise ValueError(f"bundle field {where}: cell_size {grid.cell_size} repeats")
             granularities.append(gran)
         thresholds_payload = _section(payload["thresholds"], "thresholds")
         thresholds = ConfidenceThresholds(thresholds_payload["person"],
                                           thresholds_payload["other"])
-        return ModelBundle(payload["kind"], resolution, class_ids, tuple(granularities),
-                           payload["fusion"], payload["smoothing_sigma"], payload["box_mode"],
-                           thresholds)
+        return ModelBundle(kind, resolution, class_ids, tuple(granularities), fusion, sigma,
+                           box_mode, thresholds)
     except KeyError as exc:
         raise ValueError(f"bundle is missing {exc.args[0]!r}") from None
     except TypeError as exc:
@@ -731,28 +742,52 @@ def write_scores(path, table: ScoreTable, frame_scores: FrameScores) -> None:
 
 
 def read_scores(path) -> tuple[list[ScoredObject], FrameScores]:
+    """The objects and frame scores of a ``scores.jsonl``, as ``write_scores`` writes it.
+
+    A line that is not a JSON object, a row missing a field or holding a
+    value of the wrong type (ids are read like a track row's), an unknown
+    reason, and a non-finite box, score, raw or smoothed value, which
+    ``write_scores`` refuses to write, raise TrackFileError naming the
+    line; so do frame rows that do not number the frames 1 to N.
+    """
     objects: list[ScoredObject] = []
     raw: dict[int, float] = {}
     smoothed: dict[int, float] = {}
+    isfinite, json_integer = math.isfinite, _json_integer
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            if "raw" in row:
-                raw[int(row["frame"])] = float(row["raw"])
-                smoothed[int(row["frame"])] = float(row["smoothed"])
-            else:
-                objects.append(ScoredObject(
-                    frame=int(row["frame"]), track_id=int(row["id"]),
-                    class_id=int(row["class"]), box=tuple(row["box"]),
-                    per_granularity={int(k): float(v)
-                                     for k, v in row["per_granularity"].items()},
-                    fused=float(row["score"]), reason=row.get("reason")))
-    if raw:
-        n = max(raw)
-        raw_arr = np.array([raw[i + 1] for i in range(n)])
-        smoothed_arr = np.array([smoothed[i + 1] for i in range(n)])
-    else:
-        raw_arr = smoothed_arr = np.zeros(0)
-    return objects, FrameScores(raw_arr, smoothed_arr)
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise TypeError("expected a JSON object")
+                frame = json_integer(row["frame"], "frame")
+                if "raw" in row:
+                    raw[frame], smoothed[frame] = float(row["raw"]), float(row["smoothed"])
+                    finite = isfinite(raw[frame]) and isfinite(smoothed[frame])
+                else:
+                    box, fused, reason = tuple(row["box"]), float(row["score"]), row.get("reason")
+                    if len(box) != 4:
+                        raise ValueError("box must have 4 coordinates")
+                    if reason not in REASONS:
+                        raise ValueError(f"unknown reason {reason!r}")
+                    objects.append(ScoredObject(
+                        frame, json_integer(row["id"], "id"), json_integer(row["class"], "class"),
+                        box, {int(k): float(v) for k, v in row["per_granularity"].items()},
+                        fused, reason))
+                    finite = (isfinite(fused) and isfinite(box[0]) and isfinite(box[1])
+                              and isfinite(box[2]) and isfinite(box[3]))
+                if not finite:
+                    raise ValueError("a box or score is not a finite number")
+            except json.JSONDecodeError as exc:
+                raise TrackFileError(f"bad JSON: {exc.msg}", lineno) from None
+            except KeyError as exc:
+                raise TrackFileError(f"missing field {exc}", lineno) from None
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+                raise TrackFileError(f"bad row: {exc}", lineno) from None
+    if raw.keys() != set(range(1, len(raw) + 1)):
+        raise TrackFileError(f"the frame rows do not number frames 1 to {len(raw)}")
+    frames = range(1, len(raw) + 1)
+    return objects, FrameScores(np.array([raw[i] for i in frames], dtype=float),
+                                np.array([smoothed[i] for i in frames], dtype=float))

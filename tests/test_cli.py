@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gridvad import bn, cli, pipeline
+from gridvad import bn, cli, explain, pipeline
 from gridvad.cli import main
 from gridvad.featurize import generate_observations
 from gridvad.ingest import (compute_confidence_thresholds, filter_detections, parse_tracks,
@@ -149,6 +149,18 @@ class TestExitCodes:
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_score_is_runtime_error(self, workspace, tmp_path, capsys, score):
+        scores = tmp_path / "scores.jsonl"
+        lines = (workspace / "scores.jsonl").read_text().splitlines(keepends=True)
+        row = json.loads(lines[2])
+        lines[2] = json.dumps(row).replace(json.dumps(row["score"]), score, 1) + "\n"
+        scores.write_text("".join(lines))
+        assert run_cli("eval", "--scores", scores, "--gt", workspace / "data" / "gt.jsonl",
+                       "--report", tmp_path / "report.json") == 1
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_preset_is_usage_error(self, tmp_path):
         assert run_cli("synth", "--preset", "reference", "--out-dir", tmp_path,
                        "--config", tmp_path / "missing-config.json") == 2
@@ -166,6 +178,29 @@ class TestExplainGranularity:
                        "--out", out) == 2
         assert "cell sizes 40, 80" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("granularity,sizes", [("finest", {40}), ("80", {80}),
+                                                   ("all", {40, 80})])
+    def test_only_the_chosen_granularities_are_broken_down(self, workspace, tmp_path,
+                                                          monkeypatch, granularity, sizes):
+        calls = []
+        explain_cell = explain.explain_cell
+
+        def counting(bundle, cell_size, *rest):
+            calls.append(cell_size)
+            return explain_cell(bundle, cell_size, *rest)
+
+        monkeypatch.setattr(explain, "explain_cell", counting)
+        out = tmp_path / "explanation.json"
+        assert run_cli("explain", "--model", workspace / "model.bundle",
+                       "--tracks", workspace / "data" / "test_tracks.jsonl",
+                       "--frame", 75, "--track-id", 0, "--granularity", granularity,
+                       "--out", out) == 0
+        payload = json.loads(out.read_text())
+        assert set(calls) == sizes
+        assert calls == [cell["cell_size"] for cell in payload["cells"]]
+        # the score and its trace still come from every granularity
+        assert set(payload["per_granularity"]) == set(payload["per_cell"]) == {"40", "80"}
 
     @pytest.mark.parametrize("text", ["coarse", "0", "40,80"])
     def test_other_text_is_rejected_by_the_flag(self, capsys, text):
@@ -223,9 +258,19 @@ class TestBundleValidation:
         (lambda b: _class_cpt(b)["parents"].append("Q"),
          "CPT for 'C' names undeclared parent 'Q'"),
         (lambda b: b["granularities"].append(b["granularities"][0]), "cell_size 40 repeats"),
+        (lambda b: b.update(box_mode="Bottom"), "box_mode"),
+        (lambda b: b.update(fusion="median"), "fusion"),
+        (lambda b: b.update(kind="temporal"), "kind"),
+        (lambda b: b.update(kind="spatial"), "kind 'spatial'"),
+        (lambda b: b.update(smoothing_sigma="5"), "smoothing_sigma"),
+        (lambda b: b.update(smoothing_sigma=-3.0), "smoothing_sigma"),
+        (lambda b: b.update(smoothing_sigma=float("nan")), "smoothing_sigma"),
+        (lambda b: b.update(smoothing_sigma=True), "smoothing_sigma"),
     ], ids=["class-ids-short", "class-ids-long", "grid-resolution", "grid-cols",
             "grid-cell-size", "missing-grid", "missing-thresholds", "grid-not-object",
-            "null-table", "undeclared-parent", "repeated-cell-size"])
+            "null-table", "undeclared-parent", "repeated-cell-size", "box-mode-case",
+            "unknown-fusion", "unknown-kind", "kind-without-motion-nodes", "sigma-text",
+            "sigma-negative", "sigma-nan", "sigma-bool"])
     def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
                                                 corrupt, field):
         bundle = json.loads((workspace / "model.bundle").read_text())

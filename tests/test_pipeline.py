@@ -6,7 +6,8 @@ import pytest
 
 from gridvad import bn, pipeline
 from gridvad.featurize import BOX_MODES, box_center, generate_observations, with_predecessors
-from gridvad.ingest import ConfidenceThresholds, TrackSet, TrackedDetection, filter_detections
+from gridvad.ingest import (ConfidenceThresholds, TrackFileError, TrackSet, TrackedDetection,
+                            filter_detections)
 from gridvad.pipeline import (
     REASON_IMPOSSIBLE,
     REASON_UNSEEN_CLASS,
@@ -352,6 +353,46 @@ class TestScoresIo:
         assert [o.reason for o in objects] == [s.reason for s in scored]
         assert np.array_equal(frames_back.raw, frames.raw)
         assert np.array_equal(frames_back.smoothed, frames.smoothed)
+
+    @pytest.mark.parametrize("line", [
+        'not json',
+        '[1, 2]',
+        '{"frame": 1, "id": 0, "box": [1, 2, 3, 4], "score": 0.5, "per_granularity": {}}',
+        '{"frame": 1, "id": 0, "class": 1, "box": [1, 2, 3], "score": 0.5, '
+        '"per_granularity": {}}',
+        '{"frame": 1, "id": 0, "class": 1, "box": [1, 2, 3, 4], "score": "low", '
+        '"per_granularity": {}}',
+        '{"frame": 1, "id": 0, "class": 1, "box": [1, 2, 3, 4], "score": NaN, '
+        '"per_granularity": {}}',
+        '{"frame": 1, "id": 0, "class": 1, "box": [1, 2, 3, 4], "score": 1e999, '
+        '"per_granularity": {}}',
+        '{"frame": 1, "id": 0, "class": 1, "box": [1, -Infinity, 3, 4], "score": 0.5, '
+        '"per_granularity": {}}',
+        '{"frame": 1, "raw": NaN, "smoothed": 0.5}',
+        '{"frame": 1, "raw": 0.5, "smoothed": Infinity}',
+        '{"frame": 1, "raw": 0.5}',
+        '{"frame": 2.7, "raw": 0.5, "smoothed": 0.5}',
+        '{"frame": 1, "id": true, "class": 1, "box": [1, 2, 3, 4], "score": 0.5, '
+        '"per_granularity": {}}',
+        '{"frame": 1, "id": 0, "class": 1, "box": [1, 2, 3, 4], "score": 0.5, '
+        '"per_granularity": {}, "reason": "bogus"}',
+    ], ids=["not-json", "not-object", "missing-class", "short-box", "text-score",
+            "nan-score", "overflow-score", "infinite-box", "nan-raw", "infinite-smoothed",
+            "missing-smoothed", "fractional-frame", "boolean-id", "unknown-reason"])
+    def test_bad_row_names_its_line(self, tmp_path, line):
+        path = tmp_path / "scores.jsonl"
+        good = ('{"frame": 1, "id": 0, "class": 1, "box": [1, 2, 3, 4], "score": 0.5, '
+                '"per_granularity": {"40": 0.5}, "reason": null}\n')
+        path.write_text(good + "\n" + line + "\n" + '{"frame": 1, "raw": 0.5, "smoothed": 0.5}\n')
+        with pytest.raises(TrackFileError, match="^line 3: "):
+            read_scores(path)
+
+    def test_frame_rows_must_number_the_frames(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"frame": 1, "raw": 0.5, "smoothed": 0.5}\n'
+                        '{"frame": 3, "raw": 0.5, "smoothed": 0.5}\n')
+        with pytest.raises(TrackFileError, match="frames 1 to 2"):
+            read_scores(path)
 
     def test_schema_keys(self, mini_bundle, tmp_path):
         scored, frames = score_frames(mini_bundle, mini_tracks())

@@ -249,7 +249,7 @@ def _cmd_eval(args) -> int:
     _require(args, "--scores", "--gt")
     started = time.perf_counter()
     scored, frames = pipeline.read_scores(args.scores)
-    gt = parse_ground_truth(args.gt)
+    gt = parse_ground_truth(args.gt, len(frames))
     report = evaluate(scored, frames, gt)
     elapsed = time.perf_counter() - started
     echo = _echo(args)
@@ -271,13 +271,11 @@ def _cmd_explain(args) -> int:
         raise ScriptError(f"--granularity {args.granularity}: the bundle has cell sizes "
                           f"{', '.join(map(str, bundle.cell_sizes))}")
     tracks = _prepared_tracks(args.tracks, args.format, bundle)
-    for det, prev_center, frame_gap in featurize.with_predecessors(tracks.detections):
-        if det.track_id == args.track_id and det.frame_index == args.frame:
-            scored = pipeline.score_object(bundle, det, prev_center, frame_gap)
-            break
-    else:
+    found = featurize.find_with_predecessor(tracks.detections, args.frame, args.track_id)
+    if found is None:
         raise TrackFileError(f"no detection with track id {args.track_id} "
                              f"in frame {args.frame}")
+    scored = pipeline.score_object(bundle, *found)
     # the score comes from every granularity, the breakdowns only from those asked for
     explanation = explain_object(dataclasses.replace(bundle, granularities=tuple(
         g for g in bundle.granularities if g.grid.cell_size in sizes)), scored)

@@ -235,6 +235,20 @@ def with_predecessors(detections: Iterable[TrackedDetection]) -> Iterator[
         last[det.track_id] = (det.frame_index, box_center(det.box))
 
 
+def find_with_predecessor(detections: Detections, frame: int, track_id: int):
+    """(detection, previous box center, frame gap) of ``track_id`` in ``frame``, as
+    :func:`with_predecessors` pairs them, found with column masks; None if absent."""
+    rows = np.flatnonzero(detections.track_id == track_id)  # the track in stream order
+    at = np.flatnonzero(detections.frame[rows] == frame)
+    if not at.size:
+        return None
+    det = detections[int(rows[at[0]])]
+    if at[0] == 0:
+        return det, None, None
+    prev = detections[int(rows[at[0] - 1])]
+    return det, box_center(prev.box), det.frame_index - prev.frame_index
+
+
 def fit_discretizer(train: TrackSet) -> DiscretizationModel:
     """Fit per-class area and speed statistics from a training track set.
 

@@ -8,6 +8,8 @@ checks each chunk with vectorized tests and yields an immutable
 columns; read as a sequence they give one :class:`TrackedDetection` per
 row, built on access. A bad row fails with its line number, including
 non-finite boxes and frame, track or class values that are not integers.
+Ground truth, and ``scores.jsonl`` in :mod:`gridvad.pipeline`, go through
+the same jsonl reader, each format described once as a table of fields.
 Dynamic confidence thresholds, confidence filtering and frame slicing
 live here as well, as array operations on the same columns, because they
 act on raw track sets before any featurization.
@@ -19,7 +21,9 @@ import json
 import logging
 import math
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -196,9 +200,10 @@ class GroundTruth:
 
 
 def _open_text(source, mode: str = "r"):
+    """For a with statement: a path opened as UTF-8 text, or an open stream left open."""
     if isinstance(source, (str, Path)):
-        return open(source, mode, encoding="utf-8"), True
-    return source, False
+        return open(source, mode, encoding="utf-8")
+    return nullcontext(source)
 
 
 def _parse_header(line: str, lineno: int) -> tuple[tuple[int, int], int]:
@@ -218,9 +223,6 @@ def _parse_header(line: str, lineno: int) -> tuple[tuple[int, int], int]:
 # ---------------------------------------------------------------------------
 # rows -> checked columns
 
-# (frame, track, class, box, confidence) columns of a run of rows
-Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
 
 def _first_failure(failures: list[np.ndarray]) -> tuple[int, int] | None:
     """(row, check) of the first row failing any check and its first failing check."""
@@ -231,20 +233,32 @@ def _first_failure(failures: list[np.ndarray]) -> tuple[int, int] | None:
     return row, next(k for k, failed in enumerate(failures) if failed[row])
 
 
+def _row_error(checks: list[tuple], lines: Sequence[int]) -> TrackFileError | None:
+    """The error of the first row failing a check, with its first failing check's
+    message and its line. A check is a row mask and a function giving the message."""
+    found = _first_failure([failed for failed, _message in checks])
+    if found is None:
+        return None
+    row, check = found
+    return TrackFileError(checks[check][1](row), int(lines[row]))
+
+
+def _sorted_repeats(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows by ``keys``, the first major, and which rows
+    repeat the keys of a row before them in the file."""
+    # lexsort is stable, so of two rows with one key the later one in the file follows
+    order = np.lexsort(keys[::-1])
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:]] = np.logical_and.reduce([k[order[1:]] == k[order[:-1]] for k in keys])
+    return order, repeated
+
+
 def _int64(values: np.ndarray) -> np.ndarray:
     """Which float values are integers that int64 holds."""
     return np.isfinite(values) & (values == np.trunc(values)) & (np.abs(values) < 2.0 ** 63)
 
 
-def _columns(rows: list[tuple]) -> Columns:
-    n = len(rows)
-    frame, track, class_id, box, confidence = zip(*rows) if rows else ((),) * 5
-    return (np.array(frame, np.int64), np.array(track, np.int64),
-            np.array(class_id, np.int64), np.array(box, np.float64).reshape(n, 4),
-            np.array(confidence, np.float64))
-
-
-def _checked(columns: Columns, lines: Sequence[int], resolution: tuple[int, int]) -> Columns:
+def _checked(columns: tuple, lines: Sequence[int], resolution: tuple[int, int]) -> tuple:
     """The columns with boxes clamped to the frame; TrackFileError at the first bad row.
 
     A row's checks run in this order: finite box, frame >= 1, track >= 0,
@@ -258,59 +272,55 @@ def _checked(columns: Columns, lines: Sequence[int], resolution: tuple[int, int]
     x1, y1, x2, y2 = box.T
     left, top = np.where(x1 > 0.0, x1, 0.0), np.where(y1 > 0.0, y1, 0.0)
     right, bottom = np.where(x2 < w, x2, w), np.where(y2 < h, y2, h)
-    found = _first_failure([
-        ~np.isfinite(box).all(axis=1),
-        frame < 1,
-        track < 0,
-        (class_id < 1) | (class_id > MAX_CLASS_ID),
-        ~((confidence >= 0.0) & (confidence <= 1.0)),
-        (x1 >= x2) | (y1 >= y2),
-        (left >= right) | (top >= bottom),
-    ])
-    if found is not None:
-        row, check = found
-        raw = tuple(box[row].tolist())
-        message = (
-            f"box {raw} is not finite",
-            f"frame index {frame[row]} must be >= 1",
-            f"track id {track[row]} must be >= 0",
-            f"class id {class_id[row]} outside [1, {MAX_CLASS_ID}]",
-            f"confidence {confidence[row].item()} outside [0, 1]",
-            f"degenerate box {raw}",
-            f"box {raw} does not intersect the frame",
-        )[check]
-        raise TrackFileError(message, int(lines[row]))
+    error = _row_error([
+        (~np.isfinite(box).all(axis=1), lambda r: f"box {tuple(box[r].tolist())} is not finite"),
+        (frame < 1, lambda r: f"frame index {frame[r]} must be >= 1"),
+        (track < 0, lambda r: f"track id {track[r]} must be >= 0"),
+        ((class_id < 1) | (class_id > MAX_CLASS_ID),
+         lambda r: f"class id {class_id[r]} outside [1, {MAX_CLASS_ID}]"),
+        (~((confidence >= 0.0) & (confidence <= 1.0)),
+         lambda r: f"confidence {confidence[r].item()} outside [0, 1]"),
+        ((x1 >= x2) | (y1 >= y2), lambda r: f"degenerate box {tuple(box[r].tolist())}"),
+        ((left >= right) | (top >= bottom),
+         lambda r: f"box {tuple(box[r].tolist())} does not intersect the frame"),
+    ], lines)
+    if error is not None:
+        raise error
     return frame, track, class_id, np.stack([left, top, right, bottom], axis=1), confidence
+
+
+def _read_chunks(fh: IO[str], lineno: int,
+                 read: Callable[[list[str], int], Sequence]) -> list[np.ndarray]:
+    """The columns ``read(lines, lineno)`` returns for each chunk of CHUNK_LINES lines
+    of ``fh``, concatenated; ``lineno`` numbers the first line. ``read`` raises for
+    a chunk's first bad row, so errors come in file order. A last, empty chunk gives
+    the columns' dtypes and shapes for a file without rows."""
+    parts = []
+    while lines := list(islice(fh, CHUNK_LINES)):
+        parts.append(read(lines, lineno))
+        lineno += len(lines)
+    parts.append(read([], lineno))
+    return list(map(np.concatenate, zip(*parts)))
 
 
 def _read_rows(fh: IO[str], resolution: tuple[int, int], frame_count: int,
                decode: Callable[[list[str], int], tuple]) -> TrackSet:
-    """Decode and check the rows after the header, CHUNK_LINES lines at a time.
+    """Decode and check the track rows after the header.
 
-    ``decode(lines, lineno)`` turns a chunk whose first line is ``lineno``
-    into the columns of its rows up to the first bad one, their line
-    numbers, and that bad row's TrackFileError (None if there is none).
-
-    Errors come in file order: the first row failing a decode or row check
-    raises with its line number. Once every row has passed, a repeated
-    (frame, track) pair or a frame beyond the declared count raises for the
-    first such row, without a line number.
+    ``decode(lines, lineno)`` gives the columns of a chunk's rows up to its
+    first bad one, their line numbers, and that row's error (None if none).
+    Once every row has passed, a repeated (frame, track) pair or a frame
+    beyond the declared count raises for the first such row, without a line.
     """
-    parts = [_columns([])]
-    lineno = 2
-    while lines := list(islice(fh, CHUNK_LINES)):
+    def read(lines: list[str], lineno: int) -> tuple:
         columns, row_lines, error = decode(lines, lineno)
-        parts.append(_checked(columns, row_lines, resolution))
+        columns = _checked(columns, row_lines, resolution)
         if error is not None:
             raise error
-        lineno += len(lines)
-    frame, track, class_id, box, confidence = map(np.concatenate, zip(*parts))
+        return columns
 
-    # lexsort is stable, so of two rows with one key the later one in the file follows
-    order = np.lexsort((track, frame))
-    repeated = np.zeros(len(order), dtype=bool)
-    repeated[order[1:]] = ((frame[order[1:]] == frame[order[:-1]])
-                           & (track[order[1:]] == track[order[:-1]]))
+    frame, track, class_id, box, confidence = _read_chunks(fh, 2, read)
+    order, repeated = _sorted_repeats(frame, track)
     found = _first_failure([repeated, frame > frame_count])
     if found is not None:
         row, check = found
@@ -323,15 +333,16 @@ def _read_rows(fh: IO[str], resolution: tuple[int, int], frame_count: int,
 
 
 # ---------------------------------------------------------------------------
-# jsonl
+# jsonl rows: each row is a JSON object, and each format is a table of its
+# fields, in the order they are read. A field's kind is the function that
+# reads its value: an integer, a number or a box of 4 numbers.
 
-_JSON_FIELDS = itemgetter("frame", "id", "class", "box", "conf")
 _scan_json = json.JSONDecoder().scan_once
 _JSON_SPACE = " \t\n\r"  # the whitespace JSON allows around a value
 
 
 def _json_integer(value, name: str) -> int:
-    """A frame, id or class: an integer, an integral number or a string int() reads."""
+    """An integer field: an integer, an integral number or a string int() reads."""
     try:
         number = int(value) if type(value) is str or (
             type(value) is float and value.is_integer()) else value
@@ -343,31 +354,52 @@ def _json_integer(value, name: str) -> int:
 
 
 def _json_number(value, name: str) -> float:
-    """A box coordinate or conf: anything float() reads, a number or a numeric string."""
+    """A number field or box coordinate: anything float() reads, a number or a numeric string."""
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise TrackFileError(f"{name} must be a number, not {value!r}") from None
 
 
-def _json_fields(obj) -> tuple:
-    """(frame, track, class, box, confidence) of one decoded row; TrackFileError without a line."""
+def _json_box(value, name: str) -> list[float]:
+    """A box field: a list of numbers; the row checks its length once it is read."""
+    if type(value) is not list:
+        raise TrackFileError(f"{name} must be a list of numbers, not {value!r}")
+    return [_json_number(v, f"{name} coordinate") for v in value]
+
+
+INTEGER, NUMBER, BOX = _json_integer, _json_number, _json_box
+TRACK_FIELDS = {"frame": INTEGER, "id": INTEGER, "class": INTEGER, "box": BOX, "conf": NUMBER}
+GT_FIELDS = {"frame": INTEGER, "gt_id": INTEGER, "box": BOX}
+
+
+def _json_row(obj, fields: dict) -> list:
+    """The values of one decoded row; TrackFileError without a line. Every field
+    must be present before any is read, and box lengths are checked last."""
     if type(obj) is not dict:
         raise TrackFileError(f"expected a JSON object, not {obj!r}")
     try:
-        frame, track, class_id, box, confidence = _JSON_FIELDS(obj)
+        values = [obj[name] for name in fields]
     except KeyError as exc:
         raise TrackFileError(f"missing or invalid field: {exc}") from None
-    frame = _json_integer(frame, "frame")
-    track = _json_integer(track, "id")
-    class_id = _json_integer(class_id, "class")
-    if type(box) is not list:
-        raise TrackFileError(f"box must be a list of numbers, not {box!r}")
-    box = tuple(_json_number(v, "box coordinate") for v in box)
-    confidence = _json_number(confidence, "conf")
-    if len(box) != 4:
-        raise TrackFileError("box must have 4 coordinates")
-    return frame, track, class_id, box, confidence
+    row = [kind(value, name) for value, (name, kind) in zip(values, fields.items())]
+    for value, (name, kind) in zip(row, fields.items()):
+        if kind is BOX and len(value) != 4:
+            raise TrackFileError(f"{name} must have 4 coordinates")
+    return row
+
+
+def _array(column, kind) -> np.ndarray | None:
+    """The column in one numpy call if it holds its kind as plain JSON values
+    (integers, numbers, lists of 4 numbers), else None."""
+    types = set(map(type, column))
+    if kind is BOX:
+        plain = (types <= {list} and set(map(len, column)) <= {4}
+                 and set(map(type, chain.from_iterable(column))) <= {int, float})
+        return np.array(column, np.float64).reshape(-1, 4) if plain else None
+    if kind is INTEGER:
+        return np.array(column, np.int64) if types <= {int} else None
+    return np.array(column, np.float64) if types <= {int, float} else None
 
 
 def _json_values(lines: list[str], lineno: int):
@@ -398,38 +430,38 @@ def _json_values(lines: list[str], lineno: int):
     return values, row_lines, None
 
 
-def _jsonl_chunk(lines: list[str], lineno: int):
-    """Decode a chunk of jsonl rows up to the first bad row.
+def _json_columns(values: Sequence, lines: Sequence[int],
+                  fields: dict) -> tuple[list[np.ndarray], TrackFileError | None]:
+    """One column per field of the decoded rows up to the first bad row, and that
+    row's error naming its line (None if there is none).
 
-    When every row holds its fields with their plain JSON types (integer
-    frame, id and class, a list of 4 numbers, a number conf) the chunk's
-    columns are built with one numpy call per field. Otherwise the decoded
-    rows go through ``_json_fields`` one by one, which also reads integral
-    floats and numeric strings and stops at the first bad row.
+    Columns of plain JSON values are built with one numpy call each.
+    Otherwise the rows are read one by one, which also reads integral
+    floats and numeric strings, up to the first bad row.
     """
-    objects, row_lines, error = _json_values(lines, lineno)
     try:
-        frame, track, class_id, box, confidence = zip(*map(_JSON_FIELDS, objects))
-    except (KeyError, TypeError, ValueError):
-        pass  # a row that is not an object or lacks a field, or no rows
-    else:
-        if (set(map(type, chain(frame, track, class_id))) == {int}
-                and set(map(type, box)) == {list} and set(map(len, box)) == {4}
-                and set(map(type, chain(confidence, *box))) <= {int, float}):
-            try:
-                return ((np.array(frame, np.int64), np.array(track, np.int64),
-                         np.array(class_id, np.int64), np.array(box, np.float64),
-                         np.array(confidence, np.float64)),
-                        row_lines, error)
-            except OverflowError:
-                pass  # an integer too large for its column
-    rows = []
-    for obj, k in zip(objects, row_lines):
+        columns = [_array(list(map(itemgetter(name), values)), kind)
+                   for name, kind in fields.items()]
+        if all(column is not None for column in columns):
+            return columns, None
+    except (KeyError, TypeError, OverflowError):
+        pass  # a row that is not an object or lacks a field, or a number too large
+    rows, error = [], None
+    for obj, k in zip(values, lines):
         try:
-            rows.append(_json_fields(obj))
+            rows.append(_json_row(obj, fields))
         except TrackFileError as exc:
-            return _columns(rows), row_lines, TrackFileError(exc.args[0], k)
-    return _columns(rows), row_lines, error
+            error = TrackFileError(exc.args[0], k)
+            break
+    columns = zip(*rows) if rows else [()] * len(fields)
+    return list(map(_array, columns, fields.values())), error
+
+
+def _json_chunk(lines: list[str], lineno: int, fields: dict):
+    """A chunk's columns up to its first bad row, its rows' lines and that row's error."""
+    values, row_lines, error = _json_values(lines, lineno)
+    columns, row_error = _json_columns(values, row_lines, fields)
+    return columns, row_lines, row_error or error
 
 
 def _parse_jsonl(fh: IO[str]) -> TrackSet:
@@ -437,7 +469,7 @@ def _parse_jsonl(fh: IO[str]) -> TrackSet:
     if not first.strip():
         raise TrackFileError("missing header line", 1)
     resolution, frames = _parse_header(first, 1)
-    return _read_rows(fh, resolution, frames, _jsonl_chunk)
+    return _read_rows(fh, resolution, frames, partial(_json_chunk, fields=TRACK_FIELDS))
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +538,17 @@ def parse_tracks(source, format: str = "jsonl") -> TrackSet:
     """
     if format == "jsonl":
         parser = _parse_jsonl
-    elif format in ("mot", "mot-csv"):
+    elif format == "mot":
         parser = _parse_mot
     else:
         raise ValueError(f"unknown track format {format!r}")
-    fh, owned = _open_text(source)
-    try:
+    with _open_text(source) as fh:
         return parser(fh)
-    finally:
-        if owned:
-            fh.close()
 
 
 def write_tracks(tracks: TrackSet, target) -> None:
     """Serialize a TrackSet to the jsonl interchange format."""
-    fh, owned = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as fh:
         w, h = tracks.resolution
         fh.write(json.dumps({"width": w, "height": h, "frames": tracks.frame_count}) + "\n")
         d = tracks.detections
@@ -530,69 +557,52 @@ def write_tracks(tracks: TrackSet, target) -> None:
                 d.confidence.tolist()):
             fh.write(json.dumps({"frame": frame, "id": track, "class": class_id,
                                  "box": box, "conf": confidence}) + "\n")
-    finally:
-        if owned:
-            fh.close()
 
 
-def _gt_fields(obj) -> tuple[int, int, Box]:
-    """(frame, gt_id, box) of one decoded gt row, read like a track row; TrackFileError
-    without a line."""
-    try:
-        frame, gt_id, box = obj["frame"], obj["gt_id"], obj["box"]
-    except (KeyError, TypeError):
-        raise TrackFileError("expected {frame, gt_id, box} object") from None
-    frame, gt_id = _json_integer(frame, "frame"), _json_integer(gt_id, "gt_id")
-    if type(box) is not list:
-        raise TrackFileError(f"box must be a list of numbers, not {box!r}")
-    box = tuple(_json_number(v, "box coordinate") for v in box)
-    if len(box) != 4:
-        raise TrackFileError("box must have 4 coordinates")
-    if not all(map(math.isfinite, box)):
-        raise TrackFileError(f"ground-truth box {box} is not finite")
-    if box[0] >= box[2] or box[1] >= box[3]:
-        raise TrackFileError(f"degenerate ground-truth box {box}")
-    if frame < 1:
-        raise TrackFileError(f"frame index {frame} must be >= 1")
-    return frame, gt_id, box
-
-
-def parse_ground_truth(source) -> GroundTruth:
+def parse_ground_truth(source, frame_count: int | None = None) -> GroundTruth:
     """Parse gt.jsonl: one {"frame", "gt_id", "box"} object per line.
 
     Fields follow the track rules: ``frame`` and ``gt_id`` are 64-bit
     integers (integral floats and numeric strings are read), ``box`` is a
-    list of 4 finite numbers. A bad row fails with its line number.
+    list of 4 finite numbers with x1 < x2 and y1 < y2. A row fails with its
+    line number for a bad field, a frame below 1 or beyond ``frame_count``
+    (when given) or a negative gt_id; once every row has passed, so does
+    the second row of a repeated (frame, gt_id) pair.
     """
-    fh, owned = _open_text(source)
-    try:
-        regions: list[GtRegion] = []
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise TrackFileError("expected {frame, gt_id, box} object", lineno) from None
-            try:
-                regions.append(GtRegion(*_gt_fields(obj)))
-            except TrackFileError as exc:
-                raise TrackFileError(exc.args[0], lineno) from None
-        regions.sort(key=lambda r: (r.frame, r.gt_id))
-        return GroundTruth(tuple(regions))
-    finally:
-        if owned:
-            fh.close()
+    limit = math.inf if frame_count is None else frame_count
+
+    def read(lines: list[str], lineno: int) -> list[np.ndarray]:
+        (frame, gt_id, box), row_lines, error = _json_chunk(lines, lineno, GT_FIELDS)
+        x1, y1, x2, y2 = box.T
+        row_error = _row_error([
+            (~np.isfinite(box).all(axis=1),
+             lambda r: f"ground-truth box {tuple(box[r].tolist())} is not finite"),
+            ((x1 >= x2) | (y1 >= y2),
+             lambda r: f"degenerate ground-truth box {tuple(box[r].tolist())}"),
+            (frame < 1, lambda r: f"frame index {frame[r]} must be >= 1"),
+            (frame > limit, lambda r: f"frame index {frame[r]} is beyond the video's "
+                                      f"{frame_count} frames"),
+            (gt_id < 0, lambda r: f"gt_id {gt_id[r]} must be >= 0"),
+        ], row_lines)
+        if row_error or error:
+            raise row_error or error
+        return [frame, gt_id, box, np.array(row_lines, np.int64)]
+
+    with _open_text(source) as fh:
+        frame, gt_id, box, lines = _read_chunks(fh, 1, read)
+    order, repeated = _sorted_repeats(frame, gt_id)
+    error = _row_error([(repeated, lambda r: f"gt_id {gt_id[r]} repeats in frame {frame[r]}")],
+                       lines)
+    if error is not None:
+        raise error
+    return GroundTruth(tuple(map(GtRegion, frame[order].tolist(), gt_id[order].tolist(),
+                                 map(tuple, box[order].tolist()))))
 
 
 def write_ground_truth(gt: GroundTruth, target) -> None:
-    fh, owned = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as fh:
         for r in gt.regions:
             fh.write(json.dumps({"frame": r.frame, "gt_id": r.gt_id, "box": list(r.box)}) + "\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def _group_threshold(confidences: np.ndarray, group: str) -> float:

@@ -10,11 +10,12 @@ queried once and its exact class posterior is shared by every cell with
 that key. Its scores stay columns, a :class:`ScoreTable`, from the
 posteriors to ``write_scores``, which formats ``scores.jsonl`` from them;
 reason strings and :class:`ScoredObject` rows appear only when the table
-is read as a sequence. ``score_object`` scores one detection on the
-scalar per-cell path, which is cheaper for one box and is the reference
-``score_frames`` is tested against. Objects of classes never seen in
-training score 0.0, as do objects whose attribute combination has zero
-probability under every network.
+is read as a sequence; ``read_scores`` reads the file back into a table.
+``score_object`` scores one detection on the scalar per-cell path, which
+is cheaper for one box and is the reference ``score_frames`` is tested
+against. Objects of classes never seen in training score 0.0, as do
+objects whose attribute combination has zero probability under every
+network.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from .featurize import (
     observation_codes,
     stream_columns,
 )
-from .ingest import ConfidenceThresholds, TrackFileError, TrackSet, TrackedDetection, _json_integer
+from .ingest import (BOX, INTEGER, NUMBER, ConfidenceThresholds, TrackSet, TrackedDetection,
+                     _json_columns, _json_values, _read_chunks, _row_error, _sorted_repeats)
 
 BUNDLE_FORMAT = "gridvad-bundle"
 BUNDLE_VERSION = 1
@@ -741,53 +743,87 @@ def write_scores(path, table: ScoreTable, frame_scores: FrameScores) -> None:
             range(1, len(raw) + 1), raw.tolist(), smoothed.tolist())))
 
 
-def read_scores(path) -> tuple[list[ScoredObject], FrameScores]:
+OBJECT_FIELDS = {"frame": INTEGER, "id": INTEGER, "class": INTEGER, "box": BOX, "score": NUMBER}
+FRAME_FIELDS = {"frame": INTEGER, "raw": NUMBER, "smoothed": NUMBER}
+
+
+def read_scores(path) -> tuple[ScoreTable | list, FrameScores]:
     """The objects and frame scores of a ``scores.jsonl``, as ``write_scores`` writes it.
 
-    A line that is not a JSON object, a row missing a field or holding a
-    value of the wrong type (ids are read like a track row's), an unknown
-    reason, and a non-finite box, score, raw or smoothed value, which
-    ``write_scores`` refuses to write, raise TrackFileError naming the
-    line; so do frame rows that do not number the frames 1 to N.
+    Rows with a ``raw`` field are frame rows, the others object rows, in
+    any order. The objects are a :class:`ScoreTable` with the first object
+    row's ``per_granularity`` keys as cell sizes, no scored cells and
+    ``prev``/``gap`` -1; without object rows, an empty list.
+
+    Fields are read as track fields are. A bad field, a ``per_granularity``
+    without exactly the first object row's keys, an unknown reason and a
+    non-finite box, score, raw or smoothed value raise TrackFileError
+    naming the line, in file order. Then so do frame rows that do not
+    number frames 1 to N once each, and object rows outside those frames.
     """
-    objects: list[ScoredObject] = []
-    raw: dict[int, float] = {}
-    smoothed: dict[int, float] = {}
-    isfinite, json_integer = math.isfinite, _json_integer
+    fields = None  # the first object row's per_granularity, as fields keyed by cell size
+
+    def read(lines: list[str], lineno: int) -> list[np.ndarray]:
+        nonlocal fields
+        values, row_lines, error = _json_values(lines, lineno)
+        is_frame = [type(v) is dict and "raw" in v for v in values]
+        objects = [v for v, f in zip(values, is_frame) if not f]
+        object_lines = [k for k, f in zip(row_lines, is_frame) if not f]
+        frames = [v for v, f in zip(values, is_frame) if f]
+        frame_lines = [k for k, f in zip(row_lines, is_frame) if f]
+        (frame, track, class_id, box, fused), object_error = _json_columns(
+            objects, object_lines, OBJECT_FIELDS)
+        objects = objects[:len(frame)]
+        grans = [v.get("per_granularity") for v in objects]
+        if grans and fields is None:  # its keys must name distinct cell sizes
+            sizes = list(grans[0]) if type(grans[0]) is dict else []
+            distinct = all(map(str.isdecimal, sizes)) and len(set(map(int, sizes))) == len(sizes)
+            fields = dict.fromkeys(sizes, NUMBER) if distinct else {}
+        per_granularity, grans_error = (_json_columns(grans, object_lines, fields) if fields
+                                        else ([], None))
+        reasons = [v.get("reason") for v in objects]
+        reason = np.array([REASONS.index(r) if r in REASONS else -1 for r in reasons], np.int8)
+        (frame_index, raw, smoothed), frame_error = _json_columns(frames, frame_lines,
+                                                                  FRAME_FIELDS)
+        errors = [error, object_error, _row_error([
+            (~np.isfinite(box).all(axis=1) | ~np.isfinite(fused),
+             lambda r: "a box or score is not a finite number"),
+            ([not fields or type(g) is not dict or g.keys() != fields.keys() for g in grans],
+             lambda r: f"per_granularity {grans[r]!r} is not an object of scores keyed by the "
+                       "first object row's distinct integer cell sizes"),
+            (reason < 0, lambda r: f"unknown reason {reasons[r]!r}"),
+        ], object_lines), grans_error, frame_error, _row_error([
+            (~np.isfinite(raw) | ~np.isfinite(smoothed),
+             lambda r: "a raw or smoothed score is not a finite number"),
+        ], frame_lines)]
+        # the first error in the file; of two on one line, the first listed
+        error = min(filter(None, errors), key=lambda e: e.line, default=None)
+        if error is not None:
+            raise error
+        return [frame, track, class_id, box, fused, np.array(per_granularity).T.ravel(), reason,
+                np.array(object_lines, np.int64), frame_index, raw, smoothed,
+                np.array(frame_lines, np.int64)]
+
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise TypeError("expected a JSON object")
-                frame = json_integer(row["frame"], "frame")
-                if "raw" in row:
-                    raw[frame], smoothed[frame] = float(row["raw"]), float(row["smoothed"])
-                    finite = isfinite(raw[frame]) and isfinite(smoothed[frame])
-                else:
-                    box, fused, reason = tuple(row["box"]), float(row["score"]), row.get("reason")
-                    if len(box) != 4:
-                        raise ValueError("box must have 4 coordinates")
-                    if reason not in REASONS:
-                        raise ValueError(f"unknown reason {reason!r}")
-                    objects.append(ScoredObject(
-                        frame, json_integer(row["id"], "id"), json_integer(row["class"], "class"),
-                        box, {int(k): float(v) for k, v in row["per_granularity"].items()},
-                        fused, reason))
-                    finite = (isfinite(fused) and isfinite(box[0]) and isfinite(box[1])
-                              and isfinite(box[2]) and isfinite(box[3]))
-                if not finite:
-                    raise ValueError("a box or score is not a finite number")
-            except json.JSONDecodeError as exc:
-                raise TrackFileError(f"bad JSON: {exc.msg}", lineno) from None
-            except KeyError as exc:
-                raise TrackFileError(f"missing field {exc}", lineno) from None
-            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-                raise TrackFileError(f"bad row: {exc}", lineno) from None
-    if raw.keys() != set(range(1, len(raw) + 1)):
-        raise TrackFileError(f"the frame rows do not number frames 1 to {len(raw)}")
-    frames = range(1, len(raw) + 1)
-    return objects, FrameScores(np.array([raw[i] for i in frames], dtype=float),
-                                np.array([smoothed[i] for i in frames], dtype=float))
+        (frame, track, class_id, box, fused, per_granularity, reason, object_lines,
+         frame_index, raw, smoothed, frame_lines) = _read_chunks(fh, 1, read)
+    count = len(frame_index)
+    order, repeated = _sorted_repeats(frame_index)
+    error = _row_error([
+        (repeated | (frame_index < 1) | (frame_index > count),
+         lambda r: f"the frame rows do not number frames 1 to {count}: frame "
+                   f"{frame_index[r]} is out of range or repeated"),
+    ], frame_lines) or _row_error([
+        ((frame < 1) | (frame > count),
+         lambda r: f"object frame {frame[r]} is outside frames 1 to {count}"),
+    ], object_lines)
+    if error is not None:
+        raise error
+    frame_scores = FrameScores(raw[order], smoothed[order])
+    if fields is None:
+        return [], frame_scores
+    n, sizes = len(frame), tuple(map(int, fields))
+    no_cells = CellColumns(np.zeros(n + 1, np.int64), [], [], [])
+    return ScoreTable(frame, track, class_id, box, np.full(n, -1), np.full(n, -1), sizes,
+                      per_granularity.reshape(n, len(sizes)), fused, reason,
+                      [no_cells] * len(sizes)), frame_scores

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -106,9 +106,6 @@ class Dag:
     def cardinality(self, name: str) -> int:
         return self._cards[name]
 
-    def cardinalities(self) -> dict[str, int]:
-        return dict(self._cards)
-
     def parents(self, name: str) -> tuple[str, ...]:
         ps = {p for p, c in self.edges if c == name}
         return tuple(n for n, _ in self.nodes if n in ps)
@@ -121,26 +118,23 @@ class Dag:
                    tuple(e for e in self.edges if name not in e))
 
 
-def build_structure(kind: str, *, frame_count: int, cell_count: int, class_count: int,
-                    edges: Sequence[tuple[str, str]] | None = None) -> Dag:
-    """Detector DAG for the given model kind.
+def build_structure(kind: str, *, frame_count: int, cell_count: int, class_count: int) -> Dag:
+    """Detector DAG for the given model kind; the one place that decides it.
 
     The spatial graph has 6 nodes and 7 edges; the spatio-temporal one adds
-    V and D plus edges C->V, G->V and C->D. ``edges`` overrides the edge set
-    for structure experiments while keeping the node layout.
+    V and D plus edges C->V, G->V and C->D. Nodes come in ``NODE_ORDER``,
+    with the cardinalities given here and ``FIXED_CARDINALITIES``.
+    Training fits this graph without F, and a bundle loads only if each of
+    its networks has exactly those nodes, in order, and those edges.
     """
     if kind not in ("spatial", "spatiotemporal"):
         raise ValueError(f"unknown model kind {kind!r}")
     cards = {"F": frame_count, "G": cell_count, "C": class_count, **FIXED_CARDINALITIES}
     if kind == "spatial":
-        names = NODE_ORDER[:6]
-        edge_set = SPATIAL_EDGES
+        names, edges = NODE_ORDER[:6], SPATIAL_EDGES
     else:
-        names = NODE_ORDER
-        edge_set = SPATIAL_EDGES + TEMPORAL_EDGES
-    if edges is not None:
-        edge_set = tuple((str(a), str(b)) for a, b in edges)
-    return Dag(tuple((n, cards[n]) for n in names), edge_set)
+        names, edges = NODE_ORDER, SPATIAL_EDGES + TEMPORAL_EDGES
+    return Dag(tuple((n, cards[n]) for n in names), edges)
 
 
 @dataclass(frozen=True)

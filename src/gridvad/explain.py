@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from . import bn
-from .featurize import CATEGORIES, CODES, SPATIOTEMPORAL
+from .featurize import CATEGORIES, CODES
 from .pipeline import (
     REASON_UNSEEN_CLASS,
     CellScore,
@@ -63,12 +63,6 @@ class ObjectExplanation:
     fusion: str
 
 
-def _rv_names(kind: str) -> tuple[str, ...]:
-    if kind == SPATIOTEMPORAL:
-        return ("C", "I", "BS", "BAR", "V", "D")
-    return ("C", "I", "BS", "BAR")
-
-
 def _labels_for(rv: str, bundle: ModelBundle):
     if rv == "C":
         return bundle.class_ids
@@ -100,7 +94,7 @@ def explain_cell(bundle: ModelBundle, cell_size: int, cell: int,
     per-cell score the scoring pipeline used.
     """
     gran = bundle.granularity(cell_size)
-    rvs = _rv_names(bundle.kind)
+    rvs = [rv for rv in gran.net.dag.names if rv != "G"]
     missing = [rv for rv in rvs if rv not in assignment]
     if missing:
         raise ValueError(f"assignment incomplete for {bundle.kind} model: missing {missing}")

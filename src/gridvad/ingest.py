@@ -65,30 +65,97 @@ class TrackedDetection:
     confidence: float
 
 
-class Detections(Sequence):
+def _arrays(value) -> list[np.ndarray]:
+    """The numpy arrays in a column value, inside tuples too."""
+    if isinstance(value, tuple):
+        return [array for item in value for array in _arrays(item)]
+    return [value] if isinstance(value, np.ndarray) else []
+
+
+def _same(a, b) -> bool:
+    """Equal column values: tuples item by item, the rest by ``np.array_equal``."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return np.array_equal(a, b)
+
+
+class ColumnTable(Sequence):
+    """Read-only columns, one value per ``__slots__`` name, read as a sequence of rows.
+
+    A subclass converts its columns and passes them to this constructor in
+    ``__slots__`` order; the first is a row column. Every top-level array
+    is a row column and must have one entry per row; the constructor takes
+    each array over, inside tuples too, and makes it read-only. The
+    subclass's ``_rows(start, stop)`` is an iterator that builds rows
+    start..stop-1 as they are reached; ``len()`` builds nothing. A table
+    equals a table of its type with equal columns, and a list or tuple of
+    equal rows.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *columns):
+        n = len(columns[0])
+        if any(isinstance(c, np.ndarray) and len(c) != n for c in columns):
+            raise ValueError(f"{type(self).__name__} columns have different lengths")
+        for name, column in zip(self.__slots__, columns):
+            object.__setattr__(self, name, column)
+        for array in _arrays(columns):
+            array.flags.writeable = False
+
+    def columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} columns are read-only")
+
+    def __reduce__(self):
+        return type(self), self.columns()
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]
+        return next(self._rows(i, i + 1))
+
+    def __iter__(self):
+        return self._rows(0, len(self))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return _same(self.columns(), other.columns())
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class Detections(ColumnTable):
     """The detections of a track set as read-only numpy columns.
 
     ``frame``, ``track_id`` and ``class_id`` are int64, ``box`` is an
     (n, 4) float64 array of (x1, y1, x2, y2) and ``confidence`` float64.
     Read as a sequence the columns give one :class:`TrackedDetection` per
-    row, holding Python ints and floats, built on access; ``len()``
-    builds nothing. The columns compare equal to other columns with the
-    same values and to a tuple of the same detections. The constructor
-    takes the arrays over and makes them read-only.
+    row, holding Python ints and floats, built on access; a slice gives
+    :class:`Detections`. Equality, read-only columns, copy and pickle
+    follow :class:`ColumnTable`: equal to columns with the same values and
+    to a list or tuple of the same detections.
     """
 
     __slots__ = ("frame", "track_id", "class_id", "box", "confidence")
 
     def __init__(self, frame, track_id, class_id, box, confidence):
-        columns = (np.asarray(frame, np.int64), np.asarray(track_id, np.int64),
-                   np.asarray(class_id, np.int64),
-                   np.asarray(box, np.float64).reshape(-1, 4),
-                   np.asarray(confidence, np.float64))
-        for name, column in zip(self.__slots__, columns):
-            if len(column) != len(columns[0]):
-                raise ValueError("detection columns have different lengths")
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        super().__init__(np.asarray(frame, np.int64), np.asarray(track_id, np.int64),
+                         np.asarray(class_id, np.int64),
+                         np.asarray(box, np.float64).reshape(-1, 4),
+                         np.asarray(confidence, np.float64))
 
     @classmethod
     def from_rows(cls, rows: Iterable[TrackedDetection]) -> Detections:
@@ -100,45 +167,18 @@ class Detections(Sequence):
                    np.array([d.box for d in rows], dtype=np.float64).reshape(n, 4),
                    np.fromiter((d.confidence for d in rows), np.float64, n))
 
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def take(self, index) -> Detections:
         """The rows selected by a boolean mask, an index array or a slice."""
         return Detections(*(column[index] for column in self.columns()))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("detection columns are read-only")
-
-    def __reduce__(self):
-        return Detections, self.columns()
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(index)
-        return TrackedDetection(int(self.frame[index]), int(self.track_id[index]),
-                                int(self.class_id[index]), tuple(self.box[index].tolist()),
-                                float(self.confidence[index]))
+        return self.take(index) if isinstance(index, slice) else super().__getitem__(index)
 
-    def __iter__(self):
-        return map(TrackedDetection, self.frame.tolist(), self.track_id.tolist(),
-                   self.class_id.tolist(), map(tuple, self.box.tolist()),
-                   self.confidence.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, Detections):
-            return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
-        if isinstance(other, tuple):
-            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Detections({tuple(self)!r})"
+    def _rows(self, start: int, stop: int):
+        rows = slice(start, stop)
+        return map(TrackedDetection, self.frame[rows].tolist(), self.track_id[rows].tolist(),
+                   self.class_id[rows].tolist(), map(tuple, self.box[rows].tolist()),
+                   self.confidence[rows].tolist())
 
 
 @dataclass(frozen=True)
@@ -211,10 +251,13 @@ def _parse_header(line: str, lineno: int) -> tuple[tuple[int, int], int]:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TrackFileError(f"bad header: {exc.msg}", lineno) from None
-    try:
-        width, height, frames = int(header["width"]), int(header["height"]), int(header["frames"])
-    except (KeyError, TypeError, ValueError):
-        raise TrackFileError("header must declare integer width, height and frames", lineno) from None
+    names = ("width", "height", "frames")
+    if type(header) is not dict or not header.keys() >= set(names):
+        raise TrackFileError("header must declare integer width, height and frames", lineno)
+    try:  # the rule integer row fields follow
+        width, height, frames = (_json_integer(header[name], name) for name in names)
+    except TrackFileError as exc:
+        raise TrackFileError(f"header {exc.args[0]}", lineno) from None
     if width < 1 or height < 1 or frames < 1:
         raise TrackFileError("header width/height/frames must be positive", lineno)
     return (width, height), frames

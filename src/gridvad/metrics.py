@@ -106,10 +106,15 @@ def detection_curves(scored: Sequence[ScoredObject] | ScoreTable, gt: GroundTrut
     score among the detections overlapping it, a track's the score at
     which its h-th region is detected (h the fewest regions that cover
     it). The point at t counts the region, track and false-positive
-    scores <= t.
+    scores <= t. A region outside frames 1..``num_frames`` raises
+    ValueError, as ``parse_ground_truth`` does given the frame count.
     """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
+    outside = next((r for r in gt.regions if not 1 <= r.frame <= num_frames), None)
+    if outside is not None:
+        raise ValueError(f"ground-truth region {outside.gt_id} in frame {outside.frame} is "
+                         f"outside frames 1 to {num_frames}")
     frames, boxes, scores = _object_columns(scored)
     if not np.isfinite(scores).all():
         raise ValueError("detection scores must be finite")

@@ -51,8 +51,9 @@ from .featurize import (
     observation_codes,
     stream_columns,
 )
-from .ingest import (BOX, INTEGER, NUMBER, ConfidenceThresholds, TrackSet, TrackedDetection,
-                     _json_columns, _json_values, _read_chunks, _row_error, _sorted_repeats)
+from .ingest import (BOX, INTEGER, NUMBER, ColumnTable, ConfidenceThresholds, TrackSet,
+                     TrackedDetection, _json_columns, _json_values, _read_chunks, _row_error,
+                     _sorted_repeats)
 
 BUNDLE_FORMAT = "gridvad-bundle"
 BUNDLE_VERSION = 1
@@ -164,21 +165,22 @@ class CellColumns(NamedTuple):
 REASONS = (None, REASON_UNSEEN_CLASS, REASON_IMPOSSIBLE)
 
 
-class ScoreTable(Sequence):
+class ScoreTable(ColumnTable):
     """The scored objects of one stream as read-only numpy columns.
 
     ``frame``, ``track_id`` and ``class_id`` are int64 and ``box`` an
     (n, 4) float64 array, as in the stream's detections. ``prev`` indexes
     the track's previous row and ``gap`` is the frame distance to it (both
     -1 without one). ``per_granularity`` is (n, G) float64 with one column
-    per entry of ``cell_sizes``, ``fused`` float64, ``reason`` a code into
-    :data:`REASONS`, and ``cells`` one :class:`CellColumns` per granularity.
+    per entry of ``cell_sizes`` (G may be 0), ``fused`` float64,
+    ``reason`` a code into :data:`REASONS`, and ``cells`` one
+    :class:`CellColumns` per granularity.
 
     Read as a sequence the columns give one :class:`ScoredObject` per row,
-    with its ``per_cell`` trace, built on access; ``len()`` builds nothing.
-    A table compares equal to a table with the same columns and to a list
-    or tuple of the same objects. The constructor takes the arrays over and
-    makes them read-only.
+    with its ``per_cell`` trace, built on access; a slice gives a list.
+    Equality, read-only columns, copy and pickle follow
+    :class:`~gridvad.ingest.ColumnTable`: equal to a table with the same
+    columns and to a list or tuple of the same objects.
     """
 
     __slots__ = ("frame", "track_id", "class_id", "box", "prev", "gap", "cell_sizes",
@@ -186,52 +188,24 @@ class ScoreTable(Sequence):
 
     def __init__(self, frame, track_id, class_id, box, prev, gap, cell_sizes,
                  per_granularity, fused, reason, cells):
-        cell_sizes = tuple(map(int, cell_sizes))
-        rows = (np.asarray(frame, np.int64), np.asarray(track_id, np.int64),
-                np.asarray(class_id, np.int64), np.asarray(box, np.float64).reshape(-1, 4),
-                np.asarray(prev, np.int64), np.asarray(gap, np.int64))
-        per_granularity = np.asarray(per_granularity, np.float64).reshape(-1, len(cell_sizes))
-        fused, reason = np.asarray(fused, np.float64), np.asarray(reason, np.int8)
+        frame, cell_sizes = np.asarray(frame, np.int64), tuple(map(int, cell_sizes))
         cells = tuple(CellColumns(np.asarray(c.offsets, np.int64), np.asarray(c.cell, np.int64),
                                   np.asarray(c.probability, np.float64),
                                   np.asarray(c.impossible, bool)) for c in cells)
         if len(set(cell_sizes)) != len(cell_sizes) or len(cells) != len(cell_sizes):
             raise ValueError("score table needs one cell column set per distinct cell size")
-        n = len(rows[0])
-        if any(len(column) != n for column in (*rows, per_granularity, fused, reason)) or any(
-                len(c.offsets) != n + 1 or len({len(c.cell), len(c.probability),
-                                                len(c.impossible)}) != 1 for c in cells):
-            raise ValueError("score table columns have different lengths")
-        for name, value in zip(self.__slots__, (*rows, cell_sizes, per_granularity, fused,
-                                                reason, cells)):
-            object.__setattr__(self, name, value)
-        for column in self._arrays():
-            column.flags.writeable = False
-
-    def columns(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        if any(len(c.offsets) != len(frame) + 1 or len(set(map(len, c[1:]))) != 1 for c in cells):
+            raise ValueError("score table cell columns have different lengths")
+        super().__init__(frame, np.asarray(track_id, np.int64), np.asarray(class_id, np.int64),
+                         np.asarray(box, np.float64).reshape(-1, 4), np.asarray(prev, np.int64),
+                         np.asarray(gap, np.int64), cell_sizes,
+                         np.asarray(per_granularity, np.float64).reshape(len(frame),
+                                                                         len(cell_sizes)),
+                         np.asarray(fused, np.float64), np.asarray(reason, np.int8), cells)
 
     def reason_count(self, reason: str | None) -> int:
         """The number of rows with this reason."""
         return int(np.count_nonzero(self.reason == REASONS.index(reason)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("score table columns are read-only")
-
-    def __reduce__(self):
-        return ScoreTable, self.columns()
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]
-        return next(self._rows(i, i + 1))
-
-    def __iter__(self):
-        return self._rows(0, len(self))
 
     def _rows(self, start: int, stop: int):
         """The ScoredObjects of rows start..stop-1, each built when reached.
@@ -267,23 +241,6 @@ class ScoreTable(Sequence):
                                box_center(prev_boxes[k]) if p >= 0 else None,
                                gap if gap >= 0 else None, per_cell)
 
-    def _arrays(self) -> list[np.ndarray]:
-        return [column for column in self.columns() if isinstance(column, np.ndarray)] + [
-            array for c in self.cells for array in c]
-
-    def __eq__(self, other):
-        if isinstance(other, ScoreTable):
-            return self.cell_sizes == other.cell_sizes and all(
-                map(np.array_equal, self._arrays(), other._arrays()))
-        if isinstance(other, (list, tuple)):
-            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ScoreTable({list(self)!r})"
-
 
 @dataclass(frozen=True)
 class FrameScores:
@@ -297,10 +254,13 @@ class FrameScores:
 
 
 def observation_columns(table: ObservationTable, class_ids: Sequence[int]) -> dict[str, np.ndarray]:
-    """Integer-coded columns for network fitting (class ids become indices)."""
+    """Integer-coded columns for network fitting (class ids become indices).
+
+    Every ``bn.NODE_ORDER`` variable but F gets a column; ``bn.fit_mle``
+    reads only those of its network, so a spatial table's unset V and D
+    codes are never read.
+    """
     columns = {rv: table.rows[:, k] for k, rv in enumerate(bn.NODE_ORDER) if rv != "F"}
-    if table.kind != SPATIOTEMPORAL:
-        del columns["V"], columns["D"]
     ids = np.asarray(class_ids, dtype=np.int64)
     order = np.argsort(ids, kind="stable")
     index = order.take(np.searchsorted(ids, columns["C"], sorter=order), mode="clip")
@@ -591,28 +551,25 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
 
 def _check_granularity(gran: GranularityModel, kind: str, resolution: tuple[int, int],
                        class_ids: tuple[int, ...]) -> None:
-    """Reject a granularity whose grid, variables or classes disagree with the bundle."""
-    grid, cards = gran.grid, gran.net.dag.cardinalities()
+    """Reject a granularity whose grid, network or classes disagree with the bundle.
+
+    The network must have the nodes, in order, and the edges of the one
+    ``train`` fits: ``bn.build_structure`` for the bundle's kind, the
+    grid's cells and the bundle's classes, without F.
+    """
+    grid, dag = gran.grid, gran.net.dag
     where = f"bundle granularity with cell_size {grid.cell_size}"
-    motion = sorted({"V", "D"} & cards.keys())
-    if motion != (["D", "V"] if kind == SPATIOTEMPORAL else []):
-        raise ValueError(f"{where}: the bundle's kind {kind!r} does not fit a net with "
-                         f"{' and '.join(motion) or 'neither D nor V'}")
     expected = build_grid(resolution, grid.cell_size)
     for name in ("cols", "rows", "resolution"):
         have, want = getattr(grid, name), getattr(expected, name)
         if have != want:
             raise ValueError(f"{where}: grid {name} is {have}, but this cell_size on "
                              "{}x{} frames gives {}".format(*resolution, want))
-    if cards.get("G") != grid.cell_count:
-        raise ValueError(f"{where}: G has {cards.get('G')} values but the grid has "
-                         f"{grid.cell_count} cells")
-    for rv, card in bn.FIXED_CARDINALITIES.items():
-        if rv in cards and cards[rv] != card:
-            raise ValueError(f"{where}: {rv} has {cards[rv]} values, expected {card}")
-    if cards.get("C") != len(class_ids):
-        raise ValueError(f"{where}: C has {cards.get('C')} values but class_ids lists "
-                         f"{len(class_ids)} classes")
+    layout = bn.build_structure(kind, frame_count=1, cell_count=grid.cell_count,
+                                class_count=len(class_ids)).without_node("F")
+    if dag.nodes != layout.nodes or set(dag.edges) != set(layout.edges):
+        raise ValueError(f"{where}: the network is not the one train builds for kind "
+                         f"{kind!r}, {grid.cell_count} cells and class_ids {list(class_ids)}")
     known = sorted(gran.discretizer.per_class)
     if list(class_ids) != known:
         raise ValueError(f"{where}: class_ids {list(class_ids)} do not match the "
@@ -646,6 +603,8 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
         _check_settings(kind, box_mode, fusion, sigma, where="bundle field ")
         resolution = tuple(payload["resolution"])
         class_ids = tuple(int(c) for c in payload["class_ids"])
+        if not class_ids:  # no network has a class variable without values
+            raise ValueError("bundle field class_ids lists no class")
         granularities = []
         for i, g in enumerate(payload["granularities"]):
             where = f"granularities[{i}]"
@@ -747,13 +706,13 @@ OBJECT_FIELDS = {"frame": INTEGER, "id": INTEGER, "class": INTEGER, "box": BOX, 
 FRAME_FIELDS = {"frame": INTEGER, "raw": NUMBER, "smoothed": NUMBER}
 
 
-def read_scores(path) -> tuple[ScoreTable | list, FrameScores]:
+def read_scores(path) -> tuple[ScoreTable, FrameScores]:
     """The objects and frame scores of a ``scores.jsonl``, as ``write_scores`` writes it.
 
     Rows with a ``raw`` field are frame rows, the others object rows, in
-    any order. The objects are a :class:`ScoreTable` with the first object
-    row's ``per_granularity`` keys as cell sizes, no scored cells and
-    ``prev``/``gap`` -1; without object rows, an empty list.
+    any order. The objects are always a :class:`ScoreTable`, with the
+    first object row's ``per_granularity`` keys as cell sizes (none
+    without object rows), no scored cells and ``prev``/``gap`` -1.
 
     Fields are read as track fields are. A bad field, a ``per_granularity``
     without exactly the first object row's keys, an unknown reason and a
@@ -819,11 +778,8 @@ def read_scores(path) -> tuple[ScoreTable | list, FrameScores]:
     ], object_lines)
     if error is not None:
         raise error
-    frame_scores = FrameScores(raw[order], smoothed[order])
-    if fields is None:
-        return [], frame_scores
-    n, sizes = len(frame), tuple(map(int, fields))
+    n, sizes = len(frame), tuple(map(int, fields or ()))
     no_cells = CellColumns(np.zeros(n + 1, np.int64), [], [], [])
-    return ScoreTable(frame, track, class_id, box, np.full(n, -1), np.full(n, -1), sizes,
-                      per_granularity.reshape(n, len(sizes)), fused, reason,
-                      [no_cells] * len(sizes)), frame_scores
+    table = ScoreTable(frame, track, class_id, box, np.full(n, -1), np.full(n, -1), sizes,
+                       per_granularity, fused, reason, [no_cells] * len(sizes))
+    return table, FrameScores(raw[order], smoothed[order])

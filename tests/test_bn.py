@@ -57,11 +57,6 @@ class TestBuildStructure:
                                   ("C", "BAR"), ("BS", "I"), ("BAR", "I"),
                                   ("C", "V"), ("G", "V"), ("C", "D")}
 
-    def test_edge_override(self):
-        dag = bn.build_structure("spatial", frame_count=2, cell_count=2, class_count=2,
-                                 edges=(("G", "I"),))
-        assert dag.edges == (("G", "I"),)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             bn.build_structure("temporal", frame_count=1, cell_count=1, class_count=1)

@@ -140,6 +140,12 @@ class TestExitCodes:
         bad.write_text("not json\n")
         assert run_cli("train", "--tracks", bad) == 1
 
+    def test_fractional_or_boolean_header_is_runtime_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"width": 640.9, "height": "360", "frames": true}\n')
+        assert run_cli("train", "--tracks", bad) == 1
+        assert "line 1: header width must be a 64-bit integer" in capsys.readouterr().err
+
     def test_malformed_ground_truth_is_runtime_error(self, workspace, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
         gt.write_text('{"frame": 60, "gt_id": 0, "box": [1, 2, 3, 4]}\n'
@@ -243,10 +249,24 @@ def _class_cpt(bundle):
     return next(c for c in bundle["granularities"][0]["net"]["cpts"] if c["child"] == "C")
 
 
+def _drop_grid_to_velocity(bundle):
+    """Drop the G->V edge and make V's CPT consistent with it: a valid network, but
+    not the one train builds."""
+    net = bundle["granularities"][0]["net"]
+    net["edges"].remove(["G", "V"])
+    classes = len(bundle["class_ids"])
+    velocity = next(c for c in net["cpts"] if c["child"] == "V")
+    assert velocity["parents"] == ["G", "C"]
+    # the rows of cell 0, one per class: P(V | C) as P(V | G = 0, C)
+    velocity.update(parents=["C"], table=velocity["table"][:classes],
+                    observed=velocity["observed"][:classes])
+
+
 class TestBundleValidation:
     @pytest.mark.parametrize("corrupt,field", [
         (lambda b: b["class_ids"].pop(), "class_ids"),
         (lambda b: b["class_ids"].append(max(b["class_ids"]) + 1), "class_ids"),
+        (lambda b: b["class_ids"].clear(), "class_ids"),
         (_set_grid("resolution", [1280, 720]), "resolution"),
         (_set_grid("cols", 17), "cols"),
         (_set_grid("cell_size", 39), "cell_size 39"),
@@ -266,11 +286,12 @@ class TestBundleValidation:
         (lambda b: b.update(smoothing_sigma=-3.0), "smoothing_sigma"),
         (lambda b: b.update(smoothing_sigma=float("nan")), "smoothing_sigma"),
         (lambda b: b.update(smoothing_sigma=True), "smoothing_sigma"),
-    ], ids=["class-ids-short", "class-ids-long", "grid-resolution", "grid-cols",
-            "grid-cell-size", "missing-grid", "missing-thresholds", "grid-not-object",
-            "null-table", "undeclared-parent", "repeated-cell-size", "box-mode-case",
-            "unknown-fusion", "unknown-kind", "kind-without-motion-nodes", "sigma-text",
-            "sigma-negative", "sigma-nan", "sigma-bool"])
+        (_drop_grid_to_velocity, "not the one train builds for kind 'spatiotemporal'"),
+    ], ids=["class-ids-short", "class-ids-long", "class-ids-empty", "grid-resolution",
+            "grid-cols", "grid-cell-size", "missing-grid", "missing-thresholds",
+            "grid-not-object", "null-table", "undeclared-parent", "repeated-cell-size",
+            "box-mode-case", "unknown-fusion", "unknown-kind", "kind-without-motion-nodes",
+            "sigma-text", "sigma-negative", "sigma-nan", "sigma-bool", "edge-dropped"])
     def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
                                                 corrupt, field):
         bundle = json.loads((workspace / "model.bundle").read_text())
@@ -282,6 +303,17 @@ class TestBundleValidation:
                        "--tracks", workspace / "data" / "test_tracks.jsonl") == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_edges_in_another_order_load(self, workspace, tmp_path):
+        bundle = json.loads((workspace / "model.bundle").read_text())
+        for gran in bundle["granularities"]:
+            gran["net"]["edges"].reverse()
+        reordered = tmp_path / "reordered.bundle"
+        reordered.write_text(json.dumps(bundle))
+        out = tmp_path / "scores.jsonl"
+        assert run_cli("score", "--model", reordered, "--out", out,
+                       "--tracks", workspace / "data" / "test_tracks.jsonl") == 0
+        assert out.read_bytes() == (workspace / "scores.jsonl").read_bytes()
 
 
 class TestConfigFile:

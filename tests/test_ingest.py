@@ -104,6 +104,29 @@ class TestParseTracks:
         with pytest.raises(TrackFileError, match="header"):
             parse_tracks(io.StringIO(""))
 
+    @pytest.mark.parametrize("header, outcome", [
+        ({"width": 640.0, "height": "360", "frames": 100}, ((640, 360), 100)),
+        ({"width": 640, "height": 360, "frames": "1e2"}, "frames must be a 64-bit integer"),
+        ({"width": 640.9, "height": "360", "frames": True}, "width must be a 64-bit integer"),
+        ({"width": 640, "height": 360, "frames": True}, "frames must be a 64-bit integer"),
+        ({"width": 640, "height": 360}, "must declare integer width, height and frames"),
+        ([640, 360, 100], "must declare integer width, height and frames"),
+        ({"width": 640, "height": 0, "frames": 100}, "must be positive"),
+    ], ids=["integral-float-and-string", "float-string", "fraction", "bool", "missing-field",
+            "not-object", "zero"])
+    def test_header_fields_follow_the_row_integer_rule(self, header, outcome):
+        for text in (json.dumps(header), "# " + json.dumps(header)):
+            stream = io.StringIO(text + "\n")
+            fmt = "mot" if text.startswith("#") else "jsonl"
+            if isinstance(outcome, tuple):
+                ts = parse_tracks(stream, fmt)
+                assert (ts.resolution, ts.frame_count) == outcome
+                assert all(type(v) is int for v in (*ts.resolution, ts.frame_count))
+                continue
+            with pytest.raises(TrackFileError, match=outcome) as excinfo:
+                parse_tracks(stream, fmt)
+            assert excinfo.value.line == 1
+
 
 class TestParseMot:
     def test_rows_with_json_header_comment(self):

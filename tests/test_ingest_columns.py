@@ -459,7 +459,7 @@ class TestDetectionsView:
         assert dets == tuple(dets) and tuple(dets) == dets
         assert dets[-1].frame_index == 2 and list(dets)[1] == dets[1]
         assert dets[1:] == (dets[1],)
-        assert dets != tuple(dets)[:1] and dets != list(dets)
+        assert dets != tuple(dets)[:1] and dets == list(dets) and list(dets) == dets
         with pytest.raises(IndexError):
             dets[2]
 

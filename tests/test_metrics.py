@@ -172,6 +172,18 @@ class TestSweepScenarios:
         assert math.isnan(rbdc([obj(1, (0, 0, 1, 1), 0.5)], gt_of(), 1))
         assert math.isnan(tbdc([obj(1, (0, 0, 1, 1), 0.5)], gt_of(), 1))
 
+    @pytest.mark.parametrize("frame", [0, 3, 9999])
+    def test_region_outside_the_scored_frames_rejected(self, frame):
+        """Not counted as a miss: the library refuses it as ``gridvad eval`` does."""
+        scored, gt, n = self.scenario_a()
+        gt = GroundTruth(gt.regions + (GtRegion(frame, 7, (0, 0, 10, 10)),))
+        message = f"ground-truth region 7 in frame {frame} is outside frames 1 to 2"
+        for metric in (detection_curves, rbdc, tbdc):
+            with pytest.raises(ValueError, match=message):
+                metric(scored, gt, n)
+        with pytest.raises(ValueError, match=message):
+            evaluate(scored, frame_scores([0.1, 0.2]), gt)
+
 
 def random_scenario(rng, n_frames=12):
     regions = []

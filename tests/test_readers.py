@@ -172,15 +172,12 @@ def scores_outcome(text, chunk):
         except TrackFileError as exc:
             assert str(exc).startswith(f"line {exc.line}: "), exc
             return exc.line
-    if isinstance(table, list):
-        assert table == []
-        objects = []
-    else:
-        objects = list(zip(table.frame.tolist(), table.track_id.tolist(),
-                           table.class_id.tolist(), map(tuple, table.box.tolist()),
-                           [sorted(zip(table.cell_sizes, row))
-                            for row in table.per_granularity.tolist()],
-                           table.fused.tolist(), [REASONS[c] for c in table.reason.tolist()]))
+    assert isinstance(table, ScoreTable)
+    objects = list(zip(table.frame.tolist(), table.track_id.tolist(),
+                       table.class_id.tolist(), map(tuple, table.box.tolist()),
+                       [sorted(zip(table.cell_sizes, row))
+                        for row in table.per_granularity.tolist()],
+                       table.fused.tolist(), [REASONS[c] for c in table.reason.tolist()]))
     return objects, frames.raw.tolist(), frames.smoothed.tolist()
 
 
@@ -417,7 +414,9 @@ class TestScoresRoundTrip:
         write_scores(path, scored, frames)
         assert '"score"' not in path.read_text()
         objects, frames_back = read_scores(path)
-        assert objects == [] and np.array_equal(frames_back.smoothed, frames.smoothed)
+        assert isinstance(objects, ScoreTable) and objects.cell_sizes == ()
+        assert len(objects) == 0 and objects == [] and objects.per_granularity.shape == (0, 0)
+        assert np.array_equal(frames_back.smoothed, frames.smoothed)
         gt_path = tmp_path / "gt.jsonl"
         write_ground_truth(reference_run["gt"], gt_path)
         assert cli.main(["eval", "--scores", str(path), "--gt", str(gt_path),

@@ -10,15 +10,12 @@ import numpy as np
 
 from gridvad import bn
 
-# The conceptual graph roots everything in the frame node F; the fitted
-# model drops F and keeps P(G) as the marginal cell frequency.
-dag = bn.build_structure("spatiotemporal", frame_count=300, cell_count=144,
-                         class_count=3)
-print(f"conceptual graph: {len(dag.nodes)} nodes, {len(dag.edges)} edges")
+# The frame index is never evidence, so the graph has no frame node and
+# keeps P(G) as the marginal cell frequency.
+dag = bn.build_structure("spatiotemporal", cell_count=144, class_count=3)
+print(f"detector graph: {len(dag.nodes)} nodes, {len(dag.edges)} edges")
 for parent, child in dag.edges:
     print(f"  {parent} -> {child}")
-
-fitted_dag = dag.without_node("F")
 
 # Fit from integer-coded observation columns (here: random, for shape).
 rng = np.random.default_rng(0)
@@ -32,7 +29,7 @@ data = {
     "V": rng.integers(0, 7, n),
     "D": rng.integers(0, 9, n),
 }
-net = bn.fit_mle(fitted_dag, data)
+net = bn.fit_mle(dag, data)
 bs_cpt = net.cpt("BS")
 print(f"\nP(BS | G, C) table shape: {bs_cpt.table.shape}, "
       f"{int(bs_cpt.observed.sum())} of {len(bs_cpt.observed)} parent "

@@ -23,13 +23,33 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-9
 
-# Detector network layout. F (frame) roots the conceptual graph; G is the
-# grid cell, C the object class, I the cell-intersection category, BS the
-# box size, BAR the aspect ratio, V the velocity and D the direction bin.
+# Detector network layout. F is the frame index of each observation row,
+# G the grid cell, C the object class, I the cell-intersection category,
+# BS the box size, BAR the aspect ratio, V the velocity and D the
+# direction bin.
 NODE_ORDER = ("F", "G", "C", "I", "BS", "BAR", "V", "D")
-FIXED_CARDINALITIES = {"I": 5, "BS": 5, "BAR": 3, "V": 7, "D": 9}
+SPATIAL = "spatial"
+SPATIOTEMPORAL = "spatiotemporal"
+MODEL_KINDS = (SPATIAL, SPATIOTEMPORAL)
+
+# The attribute vocabulary shared by training, scoring and explanations:
+# network variable -> labels in code order.
+INTERSECTION_CATEGORIES = ("small", "1/4", "1/2", "3/4", "full")
+SIZE_CATEGORIES = ("x-small", "small", "medium", "large", "x-large")
+ASPECT_CATEGORIES = ("portrait", "landscape", "square")
+VELOCITY_CATEGORIES = ("idle", "slow", "normal", "fast", "very fast",
+                       "super fast", "lightning fast")
+# Eight compass points plus "none" for idle objects and first appearances.
+DIRECTION_CATEGORIES = ("N", "NE", "E", "SE", "S", "SW", "W", "NW", "none")
+CATEGORIES = {
+    "I": INTERSECTION_CATEGORIES,
+    "BS": SIZE_CATEGORIES,
+    "BAR": ASPECT_CATEGORIES,
+    "V": VELOCITY_CATEGORIES,
+    "D": DIRECTION_CATEGORIES,
+}
+FIXED_CARDINALITIES = {rv: len(labels) for rv, labels in CATEGORIES.items()}
 SPATIAL_EDGES = (
-    ("F", "G"),
     ("G", "BS"),
     ("G", "I"),
     ("C", "BS"),
@@ -110,30 +130,23 @@ class Dag:
         ps = {p for p, c in self.edges if c == name}
         return tuple(n for n, _ in self.nodes if n in ps)
 
-    def without_node(self, name: str) -> "Dag":
-        """Drop a node and its incident edges (used to marginalize the frame root)."""
-        if name not in self.names:
-            raise KeyError(name)
-        return Dag(tuple((n, c) for n, c in self.nodes if n != name),
-                   tuple(e for e in self.edges if name not in e))
 
+def build_structure(kind: str, *, cell_count: int, class_count: int) -> Dag:
+    """The detector network ``train`` fits; the one place that decides it.
 
-def build_structure(kind: str, *, frame_count: int, cell_count: int, class_count: int) -> Dag:
-    """Detector DAG for the given model kind; the one place that decides it.
-
-    The spatial graph has 6 nodes and 7 edges; the spatio-temporal one adds
-    V and D plus edges C->V, G->V and C->D. Nodes come in ``NODE_ORDER``,
-    with the cardinalities given here and ``FIXED_CARDINALITIES``.
-    Training fits this graph without F, and a bundle loads only if each of
-    its networks has exactly those nodes, in order, and those edges.
+    The spatial graph has 5 nodes and 6 edges; the spatio-temporal one adds
+    V and D plus edges C->V, G->V and C->D. Nodes come in ``NODE_ORDER``
+    without F, which is never evidence, so P(G) is the marginal cell
+    frequency. A bundle loads only if each of its networks has exactly
+    these nodes, in order, and these edges.
     """
-    if kind not in ("spatial", "spatiotemporal"):
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    cards = {"F": frame_count, "G": cell_count, "C": class_count, **FIXED_CARDINALITIES}
-    if kind == "spatial":
-        names, edges = NODE_ORDER[:6], SPATIAL_EDGES
+    cards = {"G": cell_count, "C": class_count, **FIXED_CARDINALITIES}
+    if kind == SPATIAL:
+        names, edges = NODE_ORDER[1:6], SPATIAL_EDGES
     else:
-        names, edges = NODE_ORDER, SPATIAL_EDGES + TEMPORAL_EDGES
+        names, edges = NODE_ORDER[1:], SPATIAL_EDGES + TEMPORAL_EDGES
     return Dag(tuple((n, cards[n]) for n in names), edges)
 
 

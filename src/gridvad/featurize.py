@@ -4,9 +4,11 @@ The image is divided into a uniform grid of quadratic cells. Every tracked
 bounding box is reduced to a handful of high-level attributes: which cells
 its bottom edge touches, how much of each cell it covers, how big the box
 is relative to its class, its aspect ratio, and (for spatio-temporal
-models) how fast and in which compass direction it moves. Numeric
-attributes are binned by their distance from the class-wise training mean
-in multiples of the class-wise standard deviation.
+models) how fast and in which compass direction it moves. Box size and
+speed are binned by their distance from the class-wise training mean in
+multiples of the class-wise standard deviation. Every bin edge of the
+intersection, size, aspect and velocity attributes is one row of
+:data:`BINS`, which both paths below read.
 
 Two paths compute the same codes. A whole stream (training, stream
 scoring) goes through :func:`stream_columns` and
@@ -25,39 +27,41 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import ge, gt, le, lt
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .bn import NODE_ORDER
+# the vocabulary and model kinds are decided in bn and also read from here
+from .bn import (ASPECT_CATEGORIES, CATEGORIES, DIRECTION_CATEGORIES,  # noqa: F401
+                 INTERSECTION_CATEGORIES, MODEL_KINDS, NODE_ORDER, SIZE_CATEGORIES, SPATIAL,
+                 SPATIOTEMPORAL, VELOCITY_CATEGORIES)
 from .ingest import Box, Detections, TrackedDetection, TrackSet
 
-SPATIAL = "spatial"
-SPATIOTEMPORAL = "spatiotemporal"
-MODEL_KINDS = (SPATIAL, SPATIOTEMPORAL)
-
-INTERSECTION_CATEGORIES = ("small", "1/4", "1/2", "3/4", "full")
-SIZE_CATEGORIES = ("x-small", "small", "medium", "large", "x-large")
-ASPECT_CATEGORIES = ("portrait", "landscape", "square")
-VELOCITY_CATEGORIES = ("idle", "slow", "normal", "fast", "very fast",
-                       "super fast", "lightning fast")
-# Eight compass points plus "none" for idle objects and first appearances.
-DIRECTION_CATEGORIES = ("N", "NE", "E", "SE", "S", "SW", "W", "NW", "none")
-
-# The attribute vocabulary shared by training, scoring and explanations:
-# network variable -> labels in code order, and label -> integer code.
-CATEGORIES = {
-    "I": INTERSECTION_CATEGORIES,
-    "BS": SIZE_CATEGORIES,
-    "BAR": ASPECT_CATEGORIES,
-    "V": VELOCITY_CATEGORIES,
-    "D": DIRECTION_CATEGORIES,
-}
+# label -> integer code of every network variable
 CODES = {rv: {label: i for i, label in enumerate(labels)}
          for rv, labels in CATEGORIES.items()}
 
-DEFAULT_SQUARE_TOLERANCE = 0.1
-DEFAULT_IDLE_SPEED = 0.5  # px/frame
+SQUARE_TOLERANCE = 0.1  # BAR is square within [1/(1+tol), 1+tol]
+IDLE_SPEED = 0.5  # px/frame; an object moving at most this fast is idle
+
+# The bins of I, BS, BAR and V: (label, comparison, multiple) rows in test
+# order, then the last label. A value falls in the bin of the first row for
+# which ``comparison(value, center + multiple * spread)`` holds, else in the
+# last label. BS and V are centered on the class mean with the class
+# standard deviation as spread; I (the covered fraction of a cell) and
+# BAR (width / height) have center 0 and spread 1. V's idle bin, speed
+# <= IDLE_SPEED, is tested before its table.
+BINS = {
+    "I": ((("full", ge, 1.0), ("3/4", ge, 0.75), ("1/2", ge, 0.5), ("1/4", ge, 0.25)),
+          "small"),
+    "BS": ((("x-small", lt, -2.0), ("small", lt, -1.0), ("medium", le, 1.0),
+            ("large", le, 2.0)), "x-large"),
+    "BAR": ((("landscape", gt, 1.0 + SQUARE_TOLERANCE),
+             ("square", ge, 1.0 / (1.0 + SQUARE_TOLERANCE))), "portrait"),
+    "V": ((("slow", lt, -1.0), ("normal", le, 1.0), ("fast", le, 2.0),
+           ("very fast", le, 3.0), ("super fast", le, 4.0)), "lightning fast"),
+}
 
 BOX_MODE_BOTTOM = "bottom"
 BOX_MODE_WHOLE = "whole"
@@ -153,16 +157,7 @@ def intersection_category(box: Box, cell: int, grid: GridSpec) -> str:
     iy = min(box[3], cy2) - max(box[1], cy1)
     if ix <= 0 or iy <= 0:
         raise ValueError(f"box {box} does not intersect cell {cell}; caller bug")
-    phi = (ix * iy) / ((cx2 - cx1) * (cy2 - cy1))
-    if phi >= 1.0:
-        return "full"
-    if phi >= 0.75:
-        return "3/4"
-    if phi >= 0.5:
-        return "1/2"
-    if phi >= 0.25:
-        return "1/4"
-    return "small"
+    return _bin("I", (ix * iy) / ((cx2 - cx1) * (cy2 - cy1)))
 
 
 @dataclass(frozen=True)
@@ -177,16 +172,16 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class DiscretizationModel:
-    """Per-class statistics plus the global aspect tolerance and idle cutoff.
+    """Per-class statistics that center and scale the BS and V bins.
 
     Speed statistics are computed over non-idle speeds only; a class whose
     training tracks never move keeps (0, 0) so that any movement of a test
-    object lands in the most extreme velocity bin.
+    object lands in the most extreme velocity bin. The aspect tolerance
+    and the idle cutoff are the module constants ``SQUARE_TOLERANCE`` and
+    ``IDLE_SPEED``, the same for every model.
     """
 
     per_class: dict[int, ClassStats]
-    square_tolerance: float = DEFAULT_SQUARE_TOLERANCE
-    idle_speed: float = DEFAULT_IDLE_SPEED
 
     def stats(self, class_id: int) -> ClassStats:
         try:
@@ -262,7 +257,7 @@ def fit_discretizer(train: TrackSet) -> DiscretizationModel:
     stream = stream_columns(train.detections, SPATIOTEMPORAL)
     x1, y1, x2, y2 = stream.box.T
     area = (x2 - x1) * (y2 - y1)
-    moving = stream.speed > DEFAULT_IDLE_SPEED
+    moving = stream.speed > IDLE_SPEED
     per_class: dict[int, ClassStats] = {}
     for class_id in np.unique(stream.class_id).tolist():
         mine = stream.class_id == class_id
@@ -276,6 +271,15 @@ def fit_discretizer(train: TrackSet) -> DiscretizationModel:
     return DiscretizationModel(per_class)
 
 
+def _bin(rv: str, value: float, center: float = 0.0, spread: float = 1.0) -> str:
+    """The label of ``value`` in the bins ``BINS[rv]``."""
+    rows, default = BINS[rv]
+    for label, compare, multiple in rows:
+        if compare(value, center + multiple * spread):
+            return label
+    return default
+
+
 def size_category(area: float, class_id: int, model: DiscretizationModel) -> str:
     """Area binned at sigma multiples around the class mean.
 
@@ -284,51 +288,27 @@ def size_category(area: float, class_id: int, model: DiscretizationModel) -> str
     itself is medium, above is x-large.
     """
     st = model.stats(class_id)
-    mu, sd = st.size_mean, st.size_std
-    if area < mu - 2 * sd:
-        return "x-small"
-    if area < mu - sd:
-        return "small"
-    if area <= mu + sd:
-        return "medium"
-    if area <= mu + 2 * sd:
-        return "large"
-    return "x-large"
+    return _bin("BS", area, st.size_mean, st.size_std)
 
 
 def velocity_category(speed: float, class_id: int, model: DiscretizationModel) -> str:
-    """Speed binned at sigma multiples, with a dedicated idle bin below epsilon.
+    """Speed binned at sigma multiples, with a dedicated idle bin at or below ``IDLE_SPEED``.
 
     The seven bins are right-skewed because speeds are non-negative and
-    anomalous motion is fast: idle <= eps, slow < mu-s, normal <= mu+s,
+    anomalous motion is fast: idle <= IDLE_SPEED, slow < mu-s, normal <= mu+s,
     fast <= mu+2s, very fast <= mu+3s, super fast <= mu+4s, else lightning
     fast. Statistics come from non-idle training speeds.
     """
     st = model.stats(class_id)
-    if speed <= model.idle_speed:
+    if speed <= IDLE_SPEED:
         return "idle"
-    mu, sd = st.speed_mean, st.speed_std
-    if speed < mu - sd:
-        return "slow"
-    if speed <= mu + sd:
-        return "normal"
-    if speed <= mu + 2 * sd:
-        return "fast"
-    if speed <= mu + 3 * sd:
-        return "very fast"
-    if speed <= mu + 4 * sd:
-        return "super fast"
-    return "lightning fast"
+    return _bin("V", speed, st.speed_mean, st.speed_std)
 
 
-def aspect_category(box: Box, tolerance: float = DEFAULT_SQUARE_TOLERANCE) -> str:
-    """Width/height ratio: square within [1/(1+tol), 1+tol], else portrait/landscape."""
-    r = (box[2] - box[0]) / (box[3] - box[1])
-    if r > 1.0 + tolerance:
-        return "landscape"
-    if r >= 1.0 / (1.0 + tolerance):
-        return "square"
-    return "portrait"
+def aspect_category(box: Box) -> str:
+    """Width/height ratio: square within [1/(1+tol), 1+tol] for tol =
+    ``SQUARE_TOLERANCE``, else portrait or landscape."""
+    return _bin("BAR", (box[2] - box[0]) / (box[3] - box[1]))
 
 
 _COMPASS = ("E", "NE", "N", "NW", "W", "SW", "S", "SE")
@@ -384,14 +364,13 @@ def cell_labels(class_id: int, box: Box, prev_center: tuple[float, float] | None
     labels = {}
     if known:
         labels["BS"] = size_category(box_area(box), class_id, model)
-    labels["BAR"] = aspect_category(box, model.square_tolerance)
+    labels["BAR"] = aspect_category(box)
     if kind == SPATIOTEMPORAL:
         speed, angle = (0.0, None) if prev_center is None else motion(
             prev_center, box_center(box), frame_gap)
-        idle = prev_center is None or speed <= model.idle_speed
         if known:
-            labels["V"] = "idle" if idle else velocity_category(speed, class_id, model)
-        labels["D"] = "none" if idle else direction_category(angle)
+            labels["V"] = velocity_category(speed, class_id, model)
+        labels["D"] = "none" if speed <= IDLE_SPEED else direction_category(angle)
     cells = (bottom_edge_cells(box, grid) if box_mode == BOX_MODE_BOTTOM
              else covered_cells(box, grid))
     return [(cell, dict(labels, I=intersection_category(box, cell, grid)))
@@ -444,10 +423,11 @@ def stream_columns(detections: Detections, kind: str) -> StreamColumns:
     return StreamColumns(frame, detections.class_id, box, center, prev, gap, speed, angle)
 
 
-def _bins(rv: str, conditions: list[np.ndarray], labels: tuple[str, ...],
-          default: str) -> np.ndarray:
-    """Codes of the first label whose condition holds, else of ``default``."""
-    return np.select(conditions, [CODES[rv][label] for label in labels], CODES[rv][default])
+def _bin_codes(rv: str, value: np.ndarray, center=0.0, spread=1.0) -> np.ndarray:
+    """The codes of :func:`_bin` for a column of values (and of centers and spreads)."""
+    rows, default = BINS[rv]
+    return np.select([compare(value, center + multiple * spread) for _, compare, multiple in rows],
+                     [CODES[rv][label] for label, _, _ in rows], CODES[rv][default])
 
 
 def _attribute_codes(stream: StreamColumns, model: DiscretizationModel,
@@ -463,25 +443,16 @@ def _attribute_codes(stream: StreamColumns, model: DiscretizationModel,
         np.where(known, np.searchsorted(classes, stream.class_id), len(classes))].T
 
     area = (x2 - x1) * (y2 - y1)
-    size = _bins("BS", [area < mu - 2 * sd, area < mu - sd, area <= mu + sd,
-                        area <= mu + 2 * sd],
-                 ("x-small", "small", "medium", "large"), "x-large")
+    size = _bin_codes("BS", area, mu, sd)
     size[~known] = -1
     with np.errstate(over="ignore"):  # a sub-pixel height gives inf, as float division does
-        ratio = (x2 - x1) / (y2 - y1)
-    tolerance = model.square_tolerance
-    aspect = _bins("BAR", [ratio > 1.0 + tolerance, ratio >= 1.0 / (1.0 + tolerance)],
-                   ("landscape", "square"), "portrait")
+        aspect = _bin_codes("BAR", (x2 - x1) / (y2 - y1))
     if kind != SPATIOTEMPORAL:
         absent = np.full(len(area), -1, np.int64)
         return size, aspect, absent, absent
     v = stream.speed
-    idle = (stream.prev < 0) | (v <= model.idle_speed)
-    velocity = _bins("V", [idle, v < speed_mu - speed_sd, v <= speed_mu + speed_sd,
-                           v <= speed_mu + 2 * speed_sd, v <= speed_mu + 3 * speed_sd,
-                           v <= speed_mu + 4 * speed_sd],
-                     ("idle", "slow", "normal", "fast", "very fast", "super fast"),
-                     "lightning fast")
+    idle = (stream.prev < 0) | (v <= IDLE_SPEED)
+    velocity = np.where(idle, CODES["V"]["idle"], _bin_codes("V", v, speed_mu, speed_sd))
     velocity[~known] = -1
     heading = np.isnan(stream.angle)
     compass = np.floor((np.mod(np.where(heading, 0.0, stream.angle), 360.0) + 22.5)
@@ -519,9 +490,7 @@ def _cell_codes(box: np.ndarray, grid: GridSpec,
         raise ValueError("a box does not intersect one of its cells; caller bug")
     phi = (ix * iy) / ((np.minimum((col + 1) * s, w) - col * s)
                        * (np.minimum((row + 1) * s, h) - row * s))
-    intersection = _bins("I", [phi >= 1.0, phi >= 0.75, phi >= 0.5, phi >= 0.25],
-                         ("full", "3/4", "1/2", "1/4"), "small")
-    return owner, cell, intersection
+    return owner, cell, _bin_codes("I", phi)
 
 
 def observation_codes(stream: StreamColumns, grid: GridSpec, model: DiscretizationModel,
@@ -531,10 +500,10 @@ def observation_codes(stream: StreamColumns, grid: GridSpec, model: Discretizati
 
     Returns (owner, rows): the detection index of each pair and its
     ``bn.NODE_ORDER`` codes, in stream order and, per detection, in the cell
-    order of :func:`bottom_edge_cells` or :func:`covered_cells`. Every
-    comparison repeats the scalar binning functions' float expressions, so
-    the codes equal :func:`cell_labels` code for code; a class without
-    training statistics gets BS and V of -1.
+    order of :func:`bottom_edge_cells` or :func:`covered_cells`. The bins
+    are the rows of :data:`BINS` the scalar functions read, computed with
+    the same float expressions, so the codes equal :func:`cell_labels` code
+    for code; a class without training statistics gets BS and V of -1.
     """
     owner, cell, intersection = _cell_codes(stream.box, grid, box_mode)
     rows = np.empty((len(owner), len(NODE_ORDER)), np.int64)

@@ -36,7 +36,9 @@ from .featurize import (
     BOX_MODE_BOTTOM,
     BOX_MODES,
     CODES,
+    IDLE_SPEED,
     SPATIOTEMPORAL,
+    SQUARE_TOLERANCE,
     MODEL_KINDS,
     ClassStats,
     DiscretizationModel,
@@ -85,10 +87,16 @@ def _check_settings(kind, box_mode, fusion, smoothing_sigma, where: str = "") ->
                                ("fusion", fusion, FUSION_RULES)):
         if value not in known:
             raise ValueError(f"{where}{name} must be one of {', '.join(known)}, not {value!r}")
-    if (isinstance(smoothing_sigma, bool) or not isinstance(smoothing_sigma, (int, float))
-            or not 0 <= smoothing_sigma < math.inf):
-        raise ValueError(f"{where}smoothing_sigma must be a finite number >= 0, "
-                         f"not {smoothing_sigma!r}")
+    _check_number(smoothing_sigma, f"{where}smoothing_sigma", low=0)
+
+
+def _check_number(value, name: str, low: float = -math.inf, high: float = math.inf) -> None:
+    """Reject anything but a finite int or float (not a bool) in [low, high], naming it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and low <= value <= high)):
+        span = ("" if low == -math.inf else f" >= {low}" if high == math.inf
+                else f" in [{low}, {high}]")
+        raise ValueError(f"{name} must be a finite number{span}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -294,14 +302,10 @@ def train(config: TrainConfig, train_tracks: TrackSet,
         grid = build_grid(train_tracks.resolution, cell_size)
         table = generate_observations(train_tracks, grid, discretizer,
                                       config.kind, config.box_mode)
-        dag = bn.build_structure(config.kind,
-                                 frame_count=train_tracks.frame_count,
-                                 cell_count=grid.cell_count,
+        dag = bn.build_structure(config.kind, cell_count=grid.cell_count,
                                  class_count=len(class_ids))
-        # F never appears as evidence in the anomaly query, so the fitted
-        # network drops it and carries P(G) as the marginal cell frequency.
         started = time.perf_counter()
-        net = bn.fit_mle(dag.without_node("F"), observation_columns(table, class_ids))
+        net = bn.fit_mle(dag, observation_columns(table, class_ids))
         fit_seconds[str(cell_size)] = time.perf_counter() - started
         observations[str(cell_size)] = len(table.rows)
         if tables is not None:
@@ -518,8 +522,8 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
             "grid": {"cell_size": g.grid.cell_size, "cols": g.grid.cols,
                      "rows": g.grid.rows, "resolution": list(g.grid.resolution)},
             "discretizer": {
-                "square_tolerance": disc.square_tolerance,
-                "idle_speed": disc.idle_speed,
+                "square_tolerance": SQUARE_TOLERANCE,
+                "idle_speed": IDLE_SPEED,
                 "classes": {str(cid): _stats_to_dict(disc.per_class[cid])
                             for cid in sorted(disc.per_class)},
             },
@@ -555,7 +559,7 @@ def _check_granularity(gran: GranularityModel, kind: str, resolution: tuple[int,
 
     The network must have the nodes, in order, and the edges of the one
     ``train`` fits: ``bn.build_structure`` for the bundle's kind, the
-    grid's cells and the bundle's classes, without F.
+    grid's cells and the bundle's classes.
     """
     grid, dag = gran.grid, gran.net.dag
     where = f"bundle granularity with cell_size {grid.cell_size}"
@@ -565,8 +569,7 @@ def _check_granularity(gran: GranularityModel, kind: str, resolution: tuple[int,
         if have != want:
             raise ValueError(f"{where}: grid {name} is {have}, but this cell_size on "
                              "{}x{} frames gives {}".format(*resolution, want))
-    layout = bn.build_structure(kind, frame_count=1, cell_count=grid.cell_count,
-                                class_count=len(class_ids)).without_node("F")
+    layout = bn.build_structure(kind, cell_count=grid.cell_count, class_count=len(class_ids))
     if dag.nodes != layout.nodes or set(dag.edges) != set(layout.edges):
         raise ValueError(f"{where}: the network is not the one train builds for kind "
                          f"{kind!r}, {grid.cell_count} cells and class_ids {list(class_ids)}")
@@ -612,11 +615,20 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
             grid_payload = _section(g["grid"], f"{where}.grid")
             grid = GridSpec(int(grid_payload["cell_size"]), int(grid_payload["cols"]),
                             int(grid_payload["rows"]), tuple(grid_payload["resolution"]))
-            disc_payload = _section(g["discretizer"], f"{where}.discretizer")
-            per_class = {int(cid): ClassStats(**stats) for cid, stats in
-                         _section(disc_payload["classes"], f"{where}.discretizer.classes").items()}
-            disc = DiscretizationModel(per_class, disc_payload["square_tolerance"],
-                                       disc_payload["idle_speed"])
+            at = f"{where}.discretizer"
+            disc_payload = _section(g["discretizer"], at)
+            for name, constant in (("square_tolerance", SQUARE_TOLERANCE),
+                                   ("idle_speed", IDLE_SPEED)):
+                if disc_payload[name] != constant:
+                    raise ValueError(f"bundle field {at}.{name} must be {constant}, "
+                                     f"not {disc_payload[name]!r}")
+            per_class = {}
+            for cid, stats in _section(disc_payload["classes"], f"{at}.classes").items():
+                per_class[int(cid)] = ClassStats(**stats)
+                for name, value in stats.items():
+                    _check_number(value, f"bundle field {at}.classes.{cid}.{name}",
+                                  low=0 if name.endswith("_std") else -math.inf)
+            disc = DiscretizationModel(per_class)
             net_payload = _section(g["net"], f"{where}.net")
             dag = bn.Dag(tuple((n, int(c)) for n, c in net_payload["nodes"]),
                          tuple((a, b) for a, b in net_payload["edges"]))
@@ -641,6 +653,8 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
         thresholds_payload = _section(payload["thresholds"], "thresholds")
         thresholds = ConfidenceThresholds(thresholds_payload["person"],
                                           thresholds_payload["other"])
+        for name in ("person", "other"):
+            _check_number(thresholds_payload[name], f"bundle field thresholds.{name}", 0, 1)
         return ModelBundle(kind, resolution, class_ids, tuple(granularities), fusion, sigma,
                            box_mode, thresholds)
     except KeyError as exc:

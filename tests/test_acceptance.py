@@ -164,9 +164,8 @@ class TestCriterion7PerformanceBudget:
         rng = np.random.default_rng(4242)
         n_rows = 450_000
         cell_count, class_count = 576, 8
-        dag = bn.build_structure("spatiotemporal", frame_count=10_000,
-                                 cell_count=cell_count,
-                                 class_count=class_count).without_node("F")
+        dag = bn.build_structure("spatiotemporal", cell_count=cell_count,
+                                 class_count=class_count)
         data = {
             "G": rng.integers(0, cell_count, n_rows),
             "C": rng.integers(0, class_count, n_rows),

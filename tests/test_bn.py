@@ -29,37 +29,35 @@ class TestDag:
         with pytest.raises(ValueError, match="undeclared"):
             bn.Dag((("A", 2),), (("A", "B"),))
 
-    def test_without_node(self):
-        dag = bn.build_structure("spatial", frame_count=10, cell_count=4, class_count=2)
-        reduced = dag.without_node("F")
-        assert "F" not in reduced.names
-        assert reduced.parents("G") == ()
-
 
 class TestBuildStructure:
+    def test_fitted_graph_has_no_frame_node(self):
+        for kind in bn.MODEL_KINDS:
+            dag = bn.build_structure(kind, cell_count=4, class_count=2)
+            assert "F" not in dag.names
+            assert dag.parents("G") == ()
+
     def test_spatial_counts(self):
-        dag = bn.build_structure("spatial", frame_count=100, cell_count=144, class_count=5)
-        assert len(dag.nodes) == 6
-        assert len(dag.edges) == 7
+        dag = bn.build_structure("spatial", cell_count=144, class_count=5)
+        assert len(dag.nodes) == 5
+        assert len(dag.edges) == 6
 
     def test_spatiotemporal_counts(self):
-        dag = bn.build_structure("spatiotemporal", frame_count=100, cell_count=144,
-                                 class_count=5)
-        assert len(dag.nodes) == 8
-        assert len(dag.edges) == 10
+        dag = bn.build_structure("spatiotemporal", cell_count=144, class_count=5)
+        assert len(dag.nodes) == 7
+        assert len(dag.edges) == 9
         assert dag.cardinality("V") == 7
         assert dag.cardinality("D") == 9  # eight compass points plus "none"
 
     def test_documented_edges(self):
-        dag = bn.build_structure("spatiotemporal", frame_count=2, cell_count=2,
-                                 class_count=2)
-        assert set(dag.edges) == {("F", "G"), ("G", "BS"), ("G", "I"), ("C", "BS"),
+        dag = bn.build_structure("spatiotemporal", cell_count=2, class_count=2)
+        assert set(dag.edges) == {("G", "BS"), ("G", "I"), ("C", "BS"),
                                   ("C", "BAR"), ("BS", "I"), ("BAR", "I"),
                                   ("C", "V"), ("G", "V"), ("C", "D")}
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            bn.build_structure("temporal", frame_count=1, cell_count=1, class_count=1)
+            bn.build_structure("temporal", cell_count=1, class_count=1)
 
 
 class TestFitMle:
@@ -226,8 +224,7 @@ class TestBruteForceCap:
 
 class TestClassCptQuery:
     def fitted(self, kind="spatial"):
-        dag = bn.build_structure(kind, frame_count=4, cell_count=2,
-                                 class_count=2).without_node("F")
+        dag = bn.build_structure(kind, cell_count=2, class_count=2)
         rng = np.random.default_rng(15)
         n = 400
         data = {"G": rng.integers(0, 2, n), "C": rng.integers(0, 2, n),
@@ -273,8 +270,7 @@ class TestClassCptQuery:
 
     def test_two_class_scene_prefers_matching_class(self):
         # class 0 always lands in cell 0 with BS bin 1, class 1 in cell 1 / bin 3
-        dag = bn.build_structure("spatial", frame_count=2, cell_count=2,
-                                 class_count=2).without_node("F")
+        dag = bn.build_structure("spatial", cell_count=2, class_count=2)
         n = 200
         half = n // 2
         data = {

@@ -245,6 +245,25 @@ def _set_grid(field, value):
     return corrupt
 
 
+def _set_discretizer(field, value):
+    def corrupt(bundle):
+        bundle["granularities"][0]["discretizer"][field] = value
+    return corrupt
+
+
+def _set_class_stat(field, value):
+    def corrupt(bundle):
+        classes = bundle["granularities"][0]["discretizer"]["classes"]
+        classes[min(classes)][field] = value
+    return corrupt
+
+
+def _set_threshold(group, value):
+    def corrupt(bundle):
+        bundle["thresholds"][group] = value
+    return corrupt
+
+
 def _class_cpt(bundle):
     return next(c for c in bundle["granularities"][0]["net"]["cpts"] if c["child"] == "C")
 
@@ -287,11 +306,24 @@ class TestBundleValidation:
         (lambda b: b.update(smoothing_sigma=float("nan")), "smoothing_sigma"),
         (lambda b: b.update(smoothing_sigma=True), "smoothing_sigma"),
         (_drop_grid_to_velocity, "not the one train builds for kind 'spatiotemporal'"),
+        (_set_discretizer("square_tolerance", 0.2), "discretizer.square_tolerance"),
+        (_set_discretizer("square_tolerance", -1), "discretizer.square_tolerance"),
+        (_set_discretizer("idle_speed", float("nan")), "discretizer.idle_speed"),
+        (_set_class_stat("size_std", "x"), "size_std"),
+        (_set_class_stat("size_std", -1.0), "size_std"),
+        (_set_class_stat("speed_mean", True), "speed_mean"),
+        (_set_class_stat("speed_mean", float("inf")), "speed_mean"),
+        (_set_threshold("person", None), "thresholds.person"),
+        (_set_threshold("person", float("nan")), "thresholds.person"),
+        (_set_threshold("other", 1.5), "thresholds.other"),
     ], ids=["class-ids-short", "class-ids-long", "class-ids-empty", "grid-resolution",
             "grid-cols", "grid-cell-size", "missing-grid", "missing-thresholds",
             "grid-not-object", "null-table", "undeclared-parent", "repeated-cell-size",
             "box-mode-case", "unknown-fusion", "unknown-kind", "kind-without-motion-nodes",
-            "sigma-text", "sigma-negative", "sigma-nan", "sigma-bool", "edge-dropped"])
+            "sigma-text", "sigma-negative", "sigma-nan", "sigma-bool", "edge-dropped",
+            "tolerance-other", "tolerance-negative", "idle-speed-nan", "size-std-text",
+            "size-std-negative", "speed-mean-bool", "speed-mean-inf", "threshold-null",
+            "threshold-nan", "threshold-above-one"])
     def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
                                                 corrupt, field):
         bundle = json.loads((workspace / "model.bundle").read_text())

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridvad.bn import NODE_ORDER
 from gridvad.featurize import (
+    CATEGORIES,
     DIRECTION_CATEGORIES,
     INTERSECTION_CATEGORIES,
     SIZE_CATEGORIES,
@@ -13,6 +15,7 @@ from gridvad.featurize import (
     ClassStats,
     DiscretizationModel,
     GridConfigError,
+    StreamColumns,
     UnseenClassError,
     aspect_category,
     bottom_edge_cells,
@@ -24,6 +27,7 @@ from gridvad.featurize import (
     generate_observations,
     intersection_category,
     motion,
+    observation_codes,
     size_category,
     velocity_category,
 )
@@ -244,6 +248,58 @@ class TestAspect:
 
     def test_portrait(self):
         assert aspect_category((0, 0, 40, 45)) == "portrait"
+
+
+# Every bin edge with the documented label one float step below it, on it and
+# one step above it (None where no value can lie). Size: mean 100, std 10,
+# so x-small < 80 <= small < 90 <= medium <= 110 < large <= 120 < x-large.
+# Speed: mean 10, std 2, idle at or below 0.5 px/frame, then slow < 8 <=
+# normal <= 12 < fast <= 14 < very fast <= 16 < super fast <= 18 < lightning
+# fast. Covered fraction: small < 1/4 <= ... < 1 <= full. Aspect: square in
+# [1/1.1, 1.1].
+EDGE_MODEL = DiscretizationModel({1: ClassStats(100.0, 10.0, 10.0, 2.0)})
+UNIT_GRID = build_grid((200, 200), 1)
+EDGES = {
+    "I": [(0.25, ("small", "1/4", "1/4")), (0.5, ("1/4", "1/2", "1/2")),
+          (0.75, ("1/2", "3/4", "3/4")), (1.0, ("3/4", "full", None))],
+    "BS": [(80.0, ("x-small", "small", "small")), (90.0, ("small", "medium", "medium")),
+           (110.0, ("medium", "medium", "large")), (120.0, ("large", "large", "x-large"))],
+    "BAR": [(1 / 1.1, ("portrait", "square", "square")),
+            (1.1, ("square", "square", "landscape"))],
+    "V": [(0.5, ("idle", "idle", "slow")), (8.0, ("slow", "normal", "normal")),
+          (12.0, ("normal", "normal", "fast")), (14.0, ("fast", "fast", "very fast")),
+          (16.0, ("very fast", "very fast", "super fast")),
+          (18.0, ("super fast", "super fast", "lightning fast"))],
+}
+EDGE_CASES = [(rv, value, label)
+              for rv, edges in EDGES.items() for edge, labels in edges
+              for value, label in zip((math.nextafter(edge, -math.inf), edge,
+                                       math.nextafter(edge, math.inf)), labels)
+              if label is not None]
+
+
+def edge_box(rv, value):
+    """A box whose covered fraction of cell 1 (I), or whose area and aspect
+    ratio (BS, BAR), is exactly ``value`` on the 1-pixel grid."""
+    return (0.0, 0.0, 1.0, value) if rv == "I" else (0.0, 0.0, value, 1.0)
+
+
+class TestBinEdges:
+    @pytest.mark.parametrize("rv, value, label", EDGE_CASES,
+                             ids=[f"{rv}-{value!r}" for rv, value, _ in EDGE_CASES])
+    def test_scalar_and_column_bins_follow_the_documented_rule(self, rv, value, label):
+        box = edge_box(rv, value)
+        scalar = {"I": lambda: intersection_category(box, 1, UNIT_GRID),
+                  "BS": lambda: size_category(value, 1, EDGE_MODEL),
+                  "BAR": lambda: aspect_category(box),
+                  "V": lambda: velocity_category(value, 1, EDGE_MODEL)}[rv]()
+        # one moving detection whose speed is the value of a V case
+        stream = StreamColumns(np.array([1]), np.array([1]), np.array([box]),
+                               np.array([[0.0, 0.0]]), np.array([0]), np.array([1]),
+                               np.array([value if rv == "V" else 1.0]), np.array([0.0]))
+        _, rows = observation_codes(stream, UNIT_GRID, EDGE_MODEL)
+        column = {CATEGORIES[rv][code] for code in rows[:, NODE_ORDER.index(rv)].tolist()}
+        assert (scalar, column) == (label, {label})
 
 
 class TestMotion:

@@ -276,7 +276,8 @@ def score_faults(row):
                 "smoothed inf": ("smoothed", math.inf), "no smoothed": ("smoothed", KeyError),
                 "frame 2.7": ("frame", 2.7), "frame 0": ("frame", 0), "frame +1": ("frame", 99),
                 "frame null": ("frame", None)}
-    grans = row.get("per_granularity") or {}
+    grans = row.get("per_granularity")
+    grans = grans if isinstance(grans, dict) else {}  # an earlier fault may have replaced it
     first = sorted(grans)[0] if grans else "40"
     return {"no class": ("class", KeyError), "short box": ("box", [1, 2, 3]),
             "box string": ("box", "1234"), "box -inf": ("box", [1, -math.inf, 3, 4]),

@@ -9,8 +9,11 @@ Posterior queries are exact: every CPT is reduced by the evidence and the
 remaining tables are multiplied and summed over the hidden variables in one
 ``np.einsum`` contraction, then normalized over the query variable. The
 cost grows with the product of the cardinalities of the query and the
-variables summed out. ``joint_brute_force`` enumerates the full joint
-instead and exists purely as an independent oracle for ``eliminate``.
+variables summed out. ``leave_one_out`` answers P(X | every other
+variable) for several X of one full assignment from a single reduction of
+the CPTs, with ``eliminate``'s bits. ``joint_brute_force`` enumerates the
+full joint instead and exists purely as an independent oracle for
+``eliminate``.
 """
 
 from __future__ import annotations
@@ -172,6 +175,8 @@ class Cpt:
                              f"expected ({n_configs}, cardinality)")
         if self.observed.shape != (n_configs,):
             raise ValueError("observed mask does not match parent configurations")
+        if not np.all(np.isfinite(self.table)):  # NaN passes both checks below
+            raise ValueError(f"non-finite probability in CPT for {self.child}")
         if np.any(self.table < 0):
             raise ValueError(f"negative probability in CPT for {self.child}")
         if np.any(np.abs(self.table.sum(axis=1) - 1.0) > ROW_SUM_TOL):
@@ -309,6 +314,61 @@ def eliminate(net: BayesNet, query: str, evidence: Mapping[str, int]) -> Posteri
     if total == 0.0:
         return Posterior(np.full(cards[query], 1.0 / cards[query]), impossible=True)
     return Posterior(unnormalized / total, impossible=False)
+
+
+def leave_one_out(net: BayesNet, assignment: Mapping[str, int],
+                  queries: tuple[str, ...]) -> dict[str, Posterior]:
+    """P(X | every other variable) for each X in ``queries``, from one full assignment.
+
+    Every CPT is reduced once by ``assignment``: to one scalar, and to a
+    1-D slice over each queried variable of its scope. A query multiplies,
+    in CPT order, the scalars of the CPTs without X into a constant and
+    then the slices of those with X; that is the order ``eliminate``
+    multiplies in when nothing is summed out, so each posterior, its
+    uniform fallback and its ``impossible`` flag are the bits of
+    ``eliminate(net, X, assignment without X)``.
+    """
+    cards = net.dag._cards
+    if set(assignment) != set(cards) or not set(queries) <= set(cards):
+        raise ValueError(f"leave-one-out queries need a value for exactly {sorted(cards)} "
+                         f"and queries among them, got {sorted(assignment)} and {queries}")
+    codes = {}
+    for var, val in assignment.items():
+        val = int(val)
+        if not 0 <= val < cards[var]:
+            raise ValueError(f"evidence {var}={val} outside [0, {cards[var]})")
+        codes[var] = val
+    # per query, the slices of the CPTs whose scope holds it, keyed by CPT index in CPT order
+    scalars, slices = [], {x: {} for x in queries}
+    for i, cpt in enumerate(net.cpts):
+        # the row of the parents' codes, last parent fastest, and each queried
+        # parent's (offset in that row index, stride, cardinality)
+        row, stride, spans = 0, 1, []
+        for parent, card in zip(reversed(cpt.parents), reversed(cpt.parent_cards)):
+            row += codes[parent] * stride
+            if parent in slices:
+                spans.append((parent, codes[parent] * stride, stride, card))
+            stride *= card
+        child = codes[cpt.child]
+        scalars.append(cpt.table.item(row, child))
+        if cpt.child in slices:
+            slices[cpt.child][i] = cpt.table[row]
+        for parent, offset, stride, card in spans:
+            start = row - offset
+            slices[parent][i] = cpt.table[start:start + card * stride:stride, child]
+    posteriors = {}
+    for x, mine in slices.items():
+        constant = 1.0
+        for i, scalar in enumerate(scalars):
+            if i not in mine:
+                constant *= scalar
+        unnormalized = np.float64(constant)
+        for values in mine.values():
+            unnormalized = unnormalized * values
+        total = unnormalized.sum()
+        posteriors[x] = (Posterior(np.full(cards[x], 1.0 / cards[x]), impossible=True)
+                         if total == 0.0 else Posterior(unnormalized / total, impossible=False))
+    return posteriors
 
 
 def joint_brute_force(net: BayesNet, query: str, evidence: Mapping[str, int],

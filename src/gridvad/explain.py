@@ -5,16 +5,22 @@ with the cell index and all remaining attributes as hard evidence. The
 resulting distributions show which attribute values were plausible at
 that location and where the observed value ranks among them, in the same
 vocabulary the model was trained on.
+
+The class breakdown is the scoring query itself, ``bn.eliminate``, so it
+equals the score bit for bit. The other attributes of a cell come from
+one ``bn.leave_one_out`` reduction of the cell's full assignment, which
+gives the bits ``eliminate`` would. The writer spells the JSON text
+directly, byte for byte what ``json.dumps(..., indent=2)`` writes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Mapping
-
-import numpy as np
 
 from . import bn
 from .featurize import CATEGORIES, CODES
@@ -69,18 +75,17 @@ def _labels_for(rv: str, bundle: ModelBundle):
     return CATEGORIES[rv]
 
 
-def _breakdown(net, rv: str, evidence: Mapping[str, int], labels,
-               observed_label, observed_index: int | None) -> RvBreakdown:
-    posterior = bn.eliminate(net, rv, evidence)
-    values = posterior.values
+def _breakdown(posterior: bn.Posterior, labels, observed_label,
+               observed_index: int | None) -> RvBreakdown:
+    probabilities = tuple(posterior.values.tolist())
     if observed_index is None:
         probability = 0.0
         rank = len(labels) + 1
     else:
-        probability = float(values[observed_index])
-        rank = 1 + int(np.sum(values > values[observed_index]))
-    return RvBreakdown(tuple(labels), tuple(float(v) for v in values),
-                       observed_label, probability, rank, posterior.impossible)
+        probability = probabilities[observed_index]
+        rank = 1 + sum(p > probability for p in probabilities)
+    return RvBreakdown(tuple(labels), probabilities, observed_label, probability, rank,
+                       posterior.impossible)
 
 
 def explain_cell(bundle: ModelBundle, cell_size: int, cell: int,
@@ -91,7 +96,9 @@ def explain_cell(bundle: ModelBundle, cell_size: int, cell: int,
     categorical attributes as labels, complete for the bundle's model kind.
     For each attribute X the posterior P(X | G = cell, rest of assignment)
     is computed; its value at the observed class for X = C is exactly the
-    per-cell score the scoring pipeline used.
+    per-cell score the scoring pipeline used. The class posterior is
+    ``bn.eliminate``'s, as in scoring; the others share one
+    ``bn.leave_one_out`` reduction of the cell's codes.
     """
     gran = bundle.granularity(cell_size)
     rvs = [rv for rv in gran.net.dag.names if rv != "G"]
@@ -116,11 +123,10 @@ def explain_cell(bundle: ModelBundle, cell_size: int, cell: int,
                 raise ValueError(f"{value!r} is not a {rv} category")
             codes[rv] = CODES[rv][value]
             observed_index[rv] = CODES[rv][value]
-    breakdowns = {}
-    for rv in rvs:
-        evidence = {k: v for k, v in codes.items() if k != rv}
-        breakdowns[rv] = _breakdown(gran.net, rv, evidence, _labels_for(rv, bundle),
-                                    assignment[rv], observed_index[rv])
+    posteriors = bn.leave_one_out(gran.net, codes, tuple(rv for rv in rvs if rv != "C"))
+    posteriors["C"] = bn.eliminate(gran.net, "C", {k: v for k, v in codes.items() if k != "C"})
+    breakdowns = {rv: _breakdown(posteriors[rv], _labels_for(rv, bundle), assignment[rv],
+                                 observed_index[rv]) for rv in rvs}
     # impossible evidence shows a flagged uniform distribution, but the
     # score itself mirrors the pipeline's 0.0 for such cells
     class_score = 0.0 if breakdowns["C"].impossible \
@@ -133,7 +139,7 @@ def _unseen_cell_explanation(bundle: ModelBundle, gran: GranularityModel,
                              labels: dict) -> CellExplanation:
     # The class posterior can still be shown from the class-independent
     # evidence; its support necessarily omits the unseen class.
-    breakdown = _breakdown(gran.net, "C", evidence, bundle.class_ids,
+    breakdown = _breakdown(bn.eliminate(gran.net, "C", evidence), bundle.class_ids,
                            labels["C"], None)
     return CellExplanation(gran.grid.cell_size, cell, dict(labels),
                            {"C": breakdown}, 0.0)
@@ -178,6 +184,7 @@ def _breakdown_payload(b: RvBreakdown) -> dict:
 
 
 def explanation_to_dict(explanation: ObjectExplanation) -> dict:
+    """The explanation as JSON data; :func:`write_explanation` writes its text."""
     return {
         "frame": explanation.frame,
         "track_id": explanation.track_id,
@@ -203,7 +210,8 @@ def explanation_to_dict(explanation: ObjectExplanation) -> dict:
 
 
 def plot_data(explanation: ObjectExplanation) -> list[dict]:
-    """Flat per-RV category/probability pairs for external charting."""
+    """Flat per-RV category/probability pairs for external charting; the
+    ``.plot.json`` sidecar holds their text."""
     rows = []
     for cell in explanation.cells:
         for rv, b in cell.breakdowns.items():
@@ -218,11 +226,105 @@ def plot_data(explanation: ObjectExplanation) -> list[dict]:
     return rows
 
 
+# The writer spells the bytes of ``json.dumps(..., indent=2)`` of the two
+# payloads above straight from the explanation, each object of fixed keys
+# from a template laid out at its depth: ints by ``%d``, floats by
+# ``float.__repr__``, strings by the encoder's ASCII escaper, only
+# non-finite floats through ``json.dumps``. With ``indent`` set,
+# ``json.dumps`` runs its pure-Python encoder, which made it most of an
+# explain request.
+_EXPLANATION = """{
+  "frame": %d,
+  "track_id": %d,
+  "class_id": %d,
+  "box": %s,
+  "reason": %s,
+  "fused": %s,
+  "fusion": %s,
+  "per_granularity": %s,
+  "per_cell": %s,
+  "cells": %s
+}"""
+_CELL_SCORE = """{
+        "cell": %d,
+        "probability": %s,
+        "impossible": %s
+      }"""
+_CELL = """{
+      "cell_size": %d,
+      "cell": %d,
+      "assignment": %s,
+      "class_score": %s,
+      "breakdowns": %s
+    }"""
+_BREAKDOWN = """{
+          "categories": %s,
+          "probabilities": %s,
+          "observed": %s,
+          "observed_probability": %s,
+          "rank": %d,
+          "impossible": %s
+        }"""
+_PLOT_ROW = """{
+    "cell_size": %d,
+    "cell": %d,
+    "rv": %s,
+    "categories": %s,
+    "probabilities": %s,
+    "observed": %s
+  }"""
+_BOOLEANS = ("false", "true")
+
+
+def _float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Spelled items laid out as a list (or object) that opens at depth ``indent``."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _mapping(pairs, indent: str) -> str:
+    return _block([f"{_string(str(key))}: {value}" for key, value in pairs], indent, "{}")
+
+
 def write_explanation(explanation: ObjectExplanation, path) -> Path:
-    """Write explanation JSON plus the .plot.json sidecar; returns the main path."""
+    """Write explanation JSON plus the .plot.json sidecar; returns the main path.
+
+    The files hold the bytes ``json.dumps(..., indent=2)`` writes for
+    :func:`explanation_to_dict` and :func:`plot_data`.
+    """
+    e = explanation
+    # both files list every distribution: spell each once
+    spelled = [[(rv, b, [_string(str(label)) for label in b.labels],
+                 list(map(_float, b.probabilities)), _string(str(b.observed)))
+                for rv, b in c.breakdowns.items()] for c in e.cells]
+    cells = [_CELL % (c.cell_size, c.cell,
+                      _mapping([(k, _string(str(v))) for k, v in c.assignment.items()], "      "),
+                      _float(c.class_score),
+                      _mapping([(rv, _BREAKDOWN % (
+                          _block(labels, "          "), _block(probabilities, "          "),
+                          observed, _float(b.observed_probability), b.rank,
+                          _BOOLEANS[b.impossible]))
+                          for rv, b, labels, probabilities, observed in rows], "      "))
+             for c, rows in zip(e.cells, spelled)]
+    per_cell = [(cs, _block([_CELL_SCORE % (s.cell, _float(s.probability),
+                                            _BOOLEANS[s.impossible]) for s in scores], "    "))
+                for cs, scores in sorted(e.per_cell.items())]
+    text = _EXPLANATION % (
+        e.frame, e.track_id, e.class_id, _block(list(map(_float, e.box)), "  "),
+        "null" if e.reason is None else _string(e.reason), _float(e.fused), _string(e.fusion),
+        _mapping([(cs, _float(p)) for cs, p in sorted(e.per_granularity.items())], "  "),
+        _mapping(per_cell, "  "), _block(cells, "  "))
+    plot = _block([_PLOT_ROW % (c.cell_size, c.cell, _string(rv), _block(labels, "    "),
+                                _block(probabilities, "    "), observed)
+                   for c, rows in zip(e.cells, spelled)
+                   for rv, b, labels, probabilities, observed in rows], "")
     path = Path(path)
-    path.write_text(json.dumps(explanation_to_dict(explanation), indent=2),
-                    encoding="utf-8")
-    sidecar = path.with_suffix(".plot.json")
-    sidecar.write_text(json.dumps(plot_data(explanation), indent=2), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+    path.with_suffix(".plot.json").write_text(plot, encoding="utf-8")
     return path

@@ -244,17 +244,19 @@ def find_with_predecessor(detections: Detections, frame: int, track_id: int):
     return det, box_center(prev.box), det.frame_index - prev.frame_index
 
 
-def fit_discretizer(train: TrackSet) -> DiscretizationModel:
+def fit_discretizer(train: TrackSet, stream: StreamColumns | None = None) -> DiscretizationModel:
     """Fit per-class area and speed statistics from a training track set.
 
     Speeds are center displacements between consecutive surviving
     detections of the same track, normalized by the true frame gap, so the
     statistics are invariant to frame slicing. Each class's areas and
-    speeds are reduced in stream order.
+    speeds are reduced in stream order. ``stream``, when given, is the
+    set's spatio-temporal :func:`stream_columns`, already built.
     """
     if not train.detections:
         raise ValueError("cannot fit a discretizer on an empty track set")
-    stream = stream_columns(train.detections, SPATIOTEMPORAL)
+    if stream is None:
+        stream = stream_columns(train.detections, SPATIOTEMPORAL)
     x1, y1, x2, y2 = stream.box.T
     area = (x2 - x1) * (y2 - y1)
     moving = stream.speed > IDLE_SPEED
@@ -400,7 +402,12 @@ class StreamColumns(NamedTuple):
 
 def stream_columns(detections: Detections, kind: str) -> StreamColumns:
     """Predecessors of a frame-sorted stream's columns; motion only for
-    spatio-temporal kinds."""
+    spatio-temporal kinds.
+
+    Displacements are numpy differences of the centers; speed and heading
+    apply :func:`motion`'s ``math.hypot``, ``math.atan2`` and
+    ``math.degrees`` to them, so each value has :func:`motion`'s bits.
+    """
     frame, track, box = detections.frame, detections.track_id, detections.box
     n = len(frame)
     center = (box[:, :2] + box[:, 2:]) / 2.0
@@ -412,14 +419,17 @@ def stream_columns(detections: Detections, kind: str) -> StreamColumns:
     gap = np.where(prev >= 0, frame - frame[prev], -1)
     speed, angle = np.zeros(n), np.full(n, np.nan)
     if kind == SPATIOTEMPORAL:
-        # math.hypot and math.atan2 round differently from their numpy
-        # counterparts on some inputs, so motion stays scalar
-        centers = list(map(tuple, center.tolist()))
-        prevs, gaps = prev.tolist(), gap.tolist()
         moved = np.flatnonzero(prev >= 0)
-        pairs = [motion(centers[prevs[i]], centers[i], gaps[i]) for i in moved.tolist()]
-        speed[moved] = [v for v, _ in pairs]
-        angle[moved] = [np.nan if a is None else a for _, a in pairs]
+        steps = gap[moved]
+        if (steps < 1).any():
+            raise ValueError(f"frame gap {int(steps[steps < 1][0])} must be >= 1")
+        dx, dy = (center[moved] - center[prev[moved]]).T
+        # math.hypot and math.atan2 round differently from np.hypot and
+        # np.arctan2 on some inputs, so the math functions are kept
+        dxs, dys = dx.tolist(), dy.tolist()
+        speed[moved] = np.array(list(map(math.hypot, dxs, dys))) / steps
+        headings = list(map(math.degrees, map(math.atan2, (-dy).tolist(), dxs)))
+        angle[moved] = np.where((dx == 0.0) & (dy == 0.0), np.nan, headings)
     return StreamColumns(frame, detections.class_id, box, center, prev, gap, speed, angle)
 
 
@@ -518,20 +528,25 @@ def observation_codes(stream: StreamColumns, grid: GridSpec, model: Discretizati
 
 def generate_observations(tracks: TrackSet, grid: GridSpec, model: DiscretizationModel,
                           kind: str = SPATIOTEMPORAL,
-                          box_mode: str = BOX_MODE_BOTTOM) -> ObservationTable:
+                          box_mode: str = BOX_MODE_BOTTOM,
+                          stream: StreamColumns | None = None) -> ObservationTable:
     """The training table: one int64 code row per (detection, cell) pair.
 
     The stream is featurized once by :func:`stream_columns` and
     :func:`observation_codes`; ``rows`` holds the ``bn.NODE_ORDER`` codes
     in stream order and labels appear only in :meth:`ObservationTable.write_csv`.
     Temporal attributes use the track's previous surviving detection.
-    Every class must have training statistics in ``model``.
+    Every class must have training statistics in ``model``. ``stream``,
+    when given, is the tracks' :func:`stream_columns`, already built; a
+    spatio-temporal one serves a spatial table too, whose codes read no
+    motion.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     if box_mode not in BOX_MODES:
         raise ValueError(f"unknown box mode {box_mode!r}")
-    stream = stream_columns(tracks.detections, kind)
+    if stream is None:
+        stream = stream_columns(tracks.detections, kind)
     unseen = np.flatnonzero(~np.isin(stream.class_id, list(model.per_class)))
     if unseen.size:
         raise UnseenClassError(int(stream.class_id[unseen[0]]))

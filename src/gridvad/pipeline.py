@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import operator
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,6 +98,18 @@ def _check_number(value, name: str, low: float = -math.inf, high: float = math.i
         span = ("" if low == -math.inf else f" >= {low}" if high == math.inf
                 else f" in [{low}, {high}]")
         raise ValueError(f"{name} must be a finite number{span}, not {value!r}")
+
+
+def _check_integer(value, name: str, key: bool = False) -> int:
+    """Return a JSON integer (not a bool), or for an object ``key``, which JSON
+    spells as text, the integer of its plain decimal text; refuse anything
+    else, naming it."""
+    if key:
+        if isinstance(value, str) and re.fullmatch(r"0|-?[1-9][0-9]*", value):
+            return int(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -293,7 +306,9 @@ def train(config: TrainConfig, train_tracks: TrackSet,
     """
     if not train_tracks.detections:
         raise bn.FitError("cannot train on an empty track set")
-    discretizer = fit_discretizer(train_tracks)
+    # one spatio-temporal stream serves the discretizer and every table
+    stream = stream_columns(train_tracks.detections, SPATIOTEMPORAL)
+    discretizer = fit_discretizer(train_tracks, stream)
     class_ids = tuple(sorted(discretizer.per_class))
     fit_seconds: dict[str, float] = {}
     observations: dict[str, int] = {}
@@ -301,7 +316,7 @@ def train(config: TrainConfig, train_tracks: TrackSet,
     for cell_size in sorted(set(config.cell_sizes)):
         grid = build_grid(train_tracks.resolution, cell_size)
         table = generate_observations(train_tracks, grid, discretizer,
-                                      config.kind, config.box_mode)
+                                      config.kind, config.box_mode, stream)
         dag = bn.build_structure(config.kind, cell_count=grid.cell_count,
                                  class_count=len(class_ids))
         started = time.perf_counter()
@@ -604,8 +619,10 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
         kind, box_mode, fusion, sigma = (payload[key] for key in (
             "kind", "box_mode", "fusion", "smoothing_sigma"))
         _check_settings(kind, box_mode, fusion, sigma, where="bundle field ")
-        resolution = tuple(payload["resolution"])
-        class_ids = tuple(int(c) for c in payload["class_ids"])
+        resolution = tuple(_check_integer(v, f"bundle field resolution[{k}]")
+                           for k, v in enumerate(payload["resolution"]))
+        class_ids = tuple(_check_integer(c, f"bundle field class_ids[{k}]")
+                          for k, c in enumerate(payload["class_ids"]))
         if not class_ids:  # no network has a class variable without values
             raise ValueError("bundle field class_ids lists no class")
         granularities = []
@@ -613,8 +630,11 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
             where = f"granularities[{i}]"
             g = _section(g, where)
             grid_payload = _section(g["grid"], f"{where}.grid")
-            grid = GridSpec(int(grid_payload["cell_size"]), int(grid_payload["cols"]),
-                            int(grid_payload["rows"]), tuple(grid_payload["resolution"]))
+            field_name = f"bundle field {where}.grid"
+            grid = GridSpec(*(_check_integer(grid_payload[name], f"{field_name}.{name}")
+                              for name in ("cell_size", "cols", "rows")),
+                            tuple(_check_integer(v, f"{field_name}.resolution[{k}]")
+                                  for k, v in enumerate(grid_payload["resolution"])))
             at = f"{where}.discretizer"
             disc_payload = _section(g["discretizer"], at)
             for name, constant in (("square_tolerance", SQUARE_TOLERANCE),
@@ -624,13 +644,15 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                                      f"not {disc_payload[name]!r}")
             per_class = {}
             for cid, stats in _section(disc_payload["classes"], f"{at}.classes").items():
-                per_class[int(cid)] = ClassStats(**stats)
+                per_class[_check_integer(cid, f"bundle field {at}.classes key", key=True)] = \
+                    ClassStats(**stats)
                 for name, value in stats.items():
                     _check_number(value, f"bundle field {at}.classes.{cid}.{name}",
                                   low=0 if name.endswith("_std") else -math.inf)
             disc = DiscretizationModel(per_class)
             net_payload = _section(g["net"], f"{where}.net")
-            dag = bn.Dag(tuple((n, int(c)) for n, c in net_payload["nodes"]),
+            dag = bn.Dag(tuple((n, _check_integer(c, f"bundle field {where}.net.nodes[{k}]"))
+                               for k, (n, c) in enumerate(net_payload["nodes"])),
                          tuple((a, b) for a, b in net_payload["edges"]))
             cpts = []
             for k, c in enumerate(net_payload["cpts"]):

@@ -284,3 +284,58 @@ class TestClassCptQuery:
         post = bn.class_cpt_query(net, {"G": 0, "BS": 1, "BAR": 0, "I": 1})
         assert post.values[0] > post.values[1]
         assert post.values[0] == pytest.approx(1.0)
+
+
+def _loo_matches_eliminate(net, assignment) -> int:
+    """Assert every leave-one-out posterior is eliminate's, bit for bit; count impossible."""
+    posteriors = bn.leave_one_out(net, assignment, net.dag.names)
+    assert list(posteriors) == list(net.dag.names)
+    impossible = 0
+    for query, got in posteriors.items():
+        want = bn.eliminate(net, query, {k: v for k, v in assignment.items() if k != query})
+        assert got.impossible == want.impossible
+        assert got.values.tobytes() == want.values.tobytes()
+        impossible += want.impossible
+    return impossible
+
+
+class TestLeaveOneOut:
+    def test_bit_identical_to_eliminate_on_random_networks(self):
+        rng = np.random.default_rng(19)
+        impossible = 0
+        for _ in range(400):
+            net = random_net(rng, max_nodes=6, max_card=4, zero_rate=0.8)
+            assignment = {name: int(rng.integers(net.dag.cardinality(name)))
+                          for name in net.dag.names}
+            impossible += _loo_matches_eliminate(net, assignment)
+        assert impossible > 0  # the structural zeros reach the uniform fallback
+
+    def test_bit_identical_to_eliminate_on_fitted_detector_networks(self, reference_run):
+        rng = np.random.default_rng(7)
+        impossible = 0
+        for gran in reference_run["bundle"].granularities:
+            net = gran.net
+            for _ in range(150):
+                assignment = {name: int(rng.integers(net.dag.cardinality(name)))
+                              for name in net.dag.names}
+                impossible += _loo_matches_eliminate(net, assignment)
+        assert impossible > 0
+
+    def test_rejects_incomplete_or_out_of_range_assignment(self):
+        net = random_net(np.random.default_rng(3))
+        full = {name: 0 for name in net.dag.names}
+        first = net.dag.names[0]
+        with pytest.raises(ValueError, match="need a value"):
+            bn.leave_one_out(net, {k: v for k, v in full.items() if k != first}, (first,))
+        with pytest.raises(ValueError, match="need a value"):
+            bn.leave_one_out(net, full, ("nope",))
+        with pytest.raises(ValueError, match="outside"):
+            bn.leave_one_out(net, {**full, first: net.dag.cardinality(first)}, (first,))
+
+
+class TestCptValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probability_names_the_child(self, bad):
+        table = np.array([[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(ValueError, match="non-finite probability in CPT for X"):
+            bn.Cpt("X", ("P",), (2,), table, np.ones(2, dtype=bool))

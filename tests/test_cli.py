@@ -281,6 +281,26 @@ def _drop_grid_to_velocity(bundle):
                     observed=velocity["observed"][:classes])
 
 
+def _as_text(field):
+    def corrupt(bundle):
+        grid = bundle["granularities"][0]["grid"]
+        grid[field] = str(grid[field])
+    return corrupt
+
+
+def _fractional_class_key(bundle):
+    classes = bundle["granularities"][0]["discretizer"]["classes"]
+    key = min(classes)
+    classes[key + ".0"] = classes.pop(key)
+
+
+def _nan_cell_probability(bundle):
+    # P(G) of the first cell: no test object of the reference scene lies there
+    cpt = bundle["granularities"][0]["net"]["cpts"][0]
+    assert cpt["child"] == "G"
+    cpt["table"][0][0] = float("nan")
+
+
 class TestBundleValidation:
     @pytest.mark.parametrize("corrupt,field", [
         (lambda b: b["class_ids"].pop(), "class_ids"),
@@ -316,6 +336,14 @@ class TestBundleValidation:
         (_set_threshold("person", None), "thresholds.person"),
         (_set_threshold("person", float("nan")), "thresholds.person"),
         (_set_threshold("other", 1.5), "thresholds.other"),
+        (_nan_cell_probability, "non-finite probability in CPT for G"),
+        (_set_grid("cell_size", 40.7), "granularities[0].grid.cell_size"),
+        (_as_text("rows"), "granularities[0].grid.rows"),
+        (lambda b: b.update(class_ids=[str(c) for c in b["class_ids"]]), "class_ids[0]"),
+        (lambda b: b.update(resolution=[float(v) for v in b["resolution"]]), "resolution[0]"),
+        (_fractional_class_key, "discretizer.classes key"),
+        (lambda b: b["granularities"][0]["net"]["nodes"][0].__setitem__(1, 144.5),
+         "granularities[0].net.nodes[0]"),
     ], ids=["class-ids-short", "class-ids-long", "class-ids-empty", "grid-resolution",
             "grid-cols", "grid-cell-size", "missing-grid", "missing-thresholds",
             "grid-not-object", "null-table", "undeclared-parent", "repeated-cell-size",
@@ -323,7 +351,9 @@ class TestBundleValidation:
             "sigma-text", "sigma-negative", "sigma-nan", "sigma-bool", "edge-dropped",
             "tolerance-other", "tolerance-negative", "idle-speed-nan", "size-std-text",
             "size-std-negative", "speed-mean-bool", "speed-mean-inf", "threshold-null",
-            "threshold-nan", "threshold-above-one"])
+            "threshold-nan", "threshold-above-one", "cpt-nan", "cell-size-fraction",
+            "rows-text", "class-ids-text", "resolution-float", "class-key-fraction",
+            "cardinality-fraction"])
     def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
                                                 corrupt, field):
         bundle = json.loads((workspace / "model.bundle").read_text())

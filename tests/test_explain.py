@@ -2,10 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridvad.explain import explain_cell, explain_object, write_explanation
+from gridvad import bn
+from gridvad.featurize import CODES
+from gridvad.explain import (
+    CellExplanation,
+    ObjectExplanation,
+    RvBreakdown,
+    explain_cell,
+    explain_object,
+    explanation_to_dict,
+    plot_data,
+    write_explanation,
+)
 from gridvad.ingest import TrackSet, TrackedDetection
-from gridvad.pipeline import TrainConfig, score_frames, score_object, train
+from gridvad.pipeline import (REASON_UNSEEN_CLASS, REASONS, CellScore, TrainConfig, score_frames,
+                              score_object, train)
 
 
 def deterministic_tracks():
@@ -149,3 +162,84 @@ class TestExplanationOutput:
         assert {row["rv"] for row in sidecar} == {"C", "I", "BS", "BAR", "V", "D"}
         assert all(len(row["categories"]) == len(row["probabilities"])
                    for row in sidecar)
+
+
+def assert_written_as_json_dumps(explanation, path):
+    write_explanation(explanation, path)
+    assert path.read_bytes() == json.dumps(explanation_to_dict(explanation),
+                                           indent=2).encode("utf-8")
+    assert path.with_suffix(".plot.json").read_bytes() == json.dumps(
+        plot_data(explanation), indent=2).encode("utf-8")
+
+
+# -0.0, subnormals, 17 significant digits and the non-finite values json.dumps spells
+NUMBERS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1.0000000000000002, 1e16]))
+TEXT = st.text(max_size=6)  # non-ASCII, quotes, control characters, lone surrogates
+LABELS = st.one_of(TEXT, st.integers(-10**20, 10**20))
+
+
+@st.composite
+def breakdowns(draw):
+    return RvBreakdown(tuple(draw(st.lists(LABELS, max_size=4))),
+                       tuple(draw(st.lists(NUMBERS, max_size=4))), draw(LABELS),
+                       draw(NUMBERS), draw(st.integers(0, 10)), draw(st.booleans()))
+
+
+@st.composite
+def cells(draw):
+    # an unseen-class cell has the class breakdown only
+    rvs = draw(st.sampled_from([("C",), ("C", "I", "BS", "BAR"), (), ("C", "I", "BS", "BAR",
+                                                                       "V", "D")]))
+    return CellExplanation(draw(st.integers(1, 200)), draw(st.integers(1, 10**4)),
+                           draw(st.dictionaries(TEXT, LABELS, max_size=3)),
+                           {rv: draw(breakdowns()) for rv in rvs}, draw(NUMBERS))
+
+
+@st.composite
+def explanations(draw):
+    sizes = draw(st.lists(st.integers(1, 200), unique=True, max_size=3))
+    per_cell = {size: tuple(CellScore(draw(st.integers(1, 500)), draw(NUMBERS), draw(st.booleans()))
+                            for _ in range(draw(st.integers(0, 3)))) for size in sizes}
+    return ObjectExplanation(
+        draw(st.integers(0, 10**6)), draw(st.integers(-5, 10**6)), draw(st.integers(0, 90)),
+        tuple(draw(st.lists(NUMBERS, max_size=4))), draw(st.one_of(st.none(), TEXT)),
+        tuple(draw(st.lists(cells(), max_size=3))), per_cell,
+        {size: draw(NUMBERS) for size in sizes}, draw(NUMBERS), draw(TEXT))
+
+
+class TestWriterOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(explanation=explanations())
+    def test_bytes_equal_json_dumps_indent_2(self, explanation, tmp_path_factory):
+        assert_written_as_json_dumps(explanation, tmp_path_factory.mktemp("w") / "e.json")
+
+    def test_reference_scene_explanations_equal_json_dumps(self, reference_run, tmp_path):
+        bundle, scored = reference_run["bundle"], reference_run["scored"]
+        unseen = np.flatnonzero(scored.reason == REASONS.index(REASON_UNSEEN_CLASS))
+        reasons = set()
+        for index in [*range(0, len(scored), 97), *unseen[:10].tolist()]:
+            explanation = explain_object(bundle, scored[index])
+            reasons.add(explanation.reason)
+            assert_written_as_json_dumps(explanation, tmp_path / "e.json")
+        assert {None, REASON_UNSEEN_CLASS} <= reasons
+
+
+class TestBreakdownsEqualEliminate:
+    def test_every_attribute_posterior_is_eliminates(self, reference_run):
+        bundle, scored = reference_run["bundle"], reference_run["scored"]
+        checked = 0
+        for index in range(0, len(scored), 41):
+            if scored[index].reason == REASON_UNSEEN_CLASS:
+                continue
+            for cell in explain_object(bundle, scored[index]).cells:
+                net = bundle.granularity(cell.cell_size).net
+                codes = {rv: CODES[rv][label] for rv, label in cell.assignment.items()
+                         if rv != "C"}
+                codes.update(G=cell.cell - 1, C=bundle.class_index(cell.assignment["C"]))
+                for rv, b in cell.breakdowns.items():
+                    want = bn.eliminate(net, rv, {k: v for k, v in codes.items() if k != rv})
+                    assert b.probabilities == tuple(want.values.tolist())
+                    assert b.impossible == want.impossible
+                    checked += 1
+        assert checked > 500

@@ -138,3 +138,48 @@ class TestBatchFeaturizer:
             return
         table = generate_observations(seen, grid, model, SPATIOTEMPORAL, box_mode)
         assert table.rows.tolist() == [row for _, row in expected]
+
+
+def assert_motion_bits(tracks):
+    """Every stream speed and heading has the bits of the scalar :func:`motion`."""
+    stream = stream_columns(tracks.detections, SPATIOTEMPORAL)
+    for d, (det, prev_center, gap) in enumerate(with_predecessors(tracks.detections)):
+        if prev_center is None:
+            assert stream.speed[d] == 0.0 and math.isnan(stream.angle[d])
+            continue
+        speed, angle = motion(prev_center, box_center(det.box), gap)
+        assert float(stream.speed[d]).hex() == speed.hex()
+        if angle is None:
+            assert math.isnan(stream.angle[d])
+        else:
+            assert float(stream.angle[d]).hex() == angle.hex()
+
+
+class TestMotionColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(case=streams())
+    def test_speed_and_heading_bits_equal_motion(self, case):
+        assert_motion_bits(case[0])
+
+    def test_still_boxes_frame_gaps_and_rounding(self):
+        # a still box over a gap of 3, a step of exactly -0.5 px, a move over a
+        # gap of 2, and a step of (8.5, 13.5) px, whose length np.hypot rounds
+        # one ulp above math.hypot
+        boxes = {1: (10.0, 10.0, 20.0, 30.0), 4: (10.0, 10.0, 20.0, 30.0),
+                 5: (9.5, 10.0, 19.5, 30.0), 7: (0.0, 0.0, 3.0, 4.0),
+                 8: (8.5, 13.5, 11.5, 17.5)}
+        tracks = TrackSet((64, 48), 8, tuple(TrackedDetection(f, 0, 1, box, 0.9)
+                                             for f, box in boxes.items()))
+        stream = stream_columns(tracks.detections, SPATIOTEMPORAL)
+        assert stream.gap.tolist() == [-1, 3, 1, 2, 1]
+        assert stream.speed[1] == 0.0 and math.isnan(stream.angle[1])
+        assert stream.angle[2] == -180.0  # atan2(-dy, dx) with -dy = -0.0
+        assert stream.speed[4] == math.hypot(8.5, 13.5)
+        assert_motion_bits(tracks)
+
+    def test_frame_gap_below_one_is_refused(self):
+        # frames out of order within a track, as motion() refuses them
+        rows = (TrackedDetection(3, 0, 1, (0.0, 0.0, 4.0, 4.0), 0.9),
+                TrackedDetection(2, 0, 1, (1.0, 0.0, 5.0, 4.0), 0.9))
+        with pytest.raises(ValueError, match="frame gap -1 must be >= 1"):
+            stream_columns(TrackSet((8, 8), 3, rows).detections, SPATIOTEMPORAL)

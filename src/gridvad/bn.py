@@ -5,15 +5,15 @@ probability table (CPT) per node. Fitting is plain maximum likelihood:
 P(child = x | parents = pi) = count(x, pi) / count(pi), with parent
 configurations never seen in training flagged and filled uniformly.
 
-Posterior queries are exact: every CPT is reduced by the evidence and the
-remaining tables are multiplied and summed over the hidden variables in one
-``np.einsum`` contraction, then normalized over the query variable. The
-cost grows with the product of the cardinalities of the query and the
-variables summed out. ``leave_one_out`` answers P(X | every other
+Posterior queries are exact. ``leave_one_out`` answers P(X | every other
 variable) for several X of one full assignment from a single reduction of
-the CPTs, with ``eliminate``'s bits. ``joint_brute_force`` enumerates the
-full joint instead and exists purely as an independent oracle for
-``eliminate``.
+the CPTs; scoring (``class_cpt_query``) and explanations of a known class
+use it. ``eliminate`` serves queries that leave variables hidden: the
+reduced tables are multiplied and summed over those variables in one
+``np.einsum`` contraction, at a cost that grows with the product of their
+cardinalities; on a full assignment it gives ``leave_one_out``'s bits.
+``joint_brute_force`` enumerates the full joint instead and exists purely
+as an independent oracle for ``eliminate``.
 """
 
 from __future__ import annotations
@@ -266,21 +266,42 @@ def fit_mle(dag: Dag, data: Mapping[str, np.ndarray]) -> BayesNet:
     return BayesNet(dag, tuple(cpts))
 
 
-def _check_query(net: BayesNet, query: str, evidence: Mapping[str, int]) -> dict[str, int]:
+def _integer(var: str, value) -> int:
+    """``value`` of ``var`` if it is a Python or numpy integer; a bool, a float
+    (even an integral one) or text is refused, since ``int()`` would truncate
+    or parse it into some other code."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{var}={value!r} is not an integer")
+    return int(value)
+
+
+def _codes(net: BayesNet, values: Mapping[str, int]) -> dict[str, int]:
+    """The evidence codes of ``values``: known variables, integers in range."""
     cards = net.dag._cards
-    if query not in cards:
+    codes = {}
+    for var, val in values.items():
+        if var not in cards:
+            raise ValueError(f"unknown evidence variable {var!r}")
+        val = _integer(var, val)
+        if not 0 <= val < cards[var]:
+            raise ValueError(f"evidence {var}={val} outside [0, {cards[var]})")
+        codes[var] = val
+    return codes
+
+
+def _normalized(unnormalized: np.ndarray, card: int) -> Posterior:
+    total = unnormalized.sum()
+    if total == 0.0:
+        return Posterior(np.full(card, 1.0 / card), impossible=True)
+    return Posterior(unnormalized / total, impossible=False)
+
+
+def _check_query(net: BayesNet, query: str, evidence: Mapping[str, int]) -> dict[str, int]:
+    if query not in net.dag._cards:
         raise ValueError(f"unknown query variable {query!r}")
     if query in evidence:
         raise ValueError(f"query variable {query!r} also appears in the evidence")
-    cleaned = {}
-    for var, val in evidence.items():
-        if var not in cards:
-            raise ValueError(f"unknown evidence variable {var!r}")
-        val = int(val)
-        if not 0 <= val < cards[var]:
-            raise ValueError(f"evidence {var}={val} outside [0, {cards[var]})")
-        cleaned[var] = val
-    return cleaned
+    return _codes(net, evidence)
 
 
 def eliminate(net: BayesNet, query: str, evidence: Mapping[str, int]) -> Posterior:
@@ -309,11 +330,8 @@ def eliminate(net: BayesNet, query: str, evidence: Mapping[str, int]) -> Posteri
             constant *= float(values)
     # the scalar operand goes first so products associate as constant * CPTs
     # default optimize=False: a path search costs more than these contractions
-    unnormalized = np.einsum(np.float64(constant), [], *operands, [axis[query]])
-    total = unnormalized.sum()
-    if total == 0.0:
-        return Posterior(np.full(cards[query], 1.0 / cards[query]), impossible=True)
-    return Posterior(unnormalized / total, impossible=False)
+    return _normalized(np.einsum(np.float64(constant), [], *operands, [axis[query]]),
+                       cards[query])
 
 
 def leave_one_out(net: BayesNet, assignment: Mapping[str, int],
@@ -332,12 +350,7 @@ def leave_one_out(net: BayesNet, assignment: Mapping[str, int],
     if set(assignment) != set(cards) or not set(queries) <= set(cards):
         raise ValueError(f"leave-one-out queries need a value for exactly {sorted(cards)} "
                          f"and queries among them, got {sorted(assignment)} and {queries}")
-    codes = {}
-    for var, val in assignment.items():
-        val = int(val)
-        if not 0 <= val < cards[var]:
-            raise ValueError(f"evidence {var}={val} outside [0, {cards[var]})")
-        codes[var] = val
+    codes = _codes(net, assignment)
     # per query, the slices of the CPTs whose scope holds it, keyed by CPT index in CPT order
     scalars, slices = [], {x: {} for x in queries}
     for i, cpt in enumerate(net.cpts):
@@ -365,9 +378,7 @@ def leave_one_out(net: BayesNet, assignment: Mapping[str, int],
         unnormalized = np.float64(constant)
         for values in mine.values():
             unnormalized = unnormalized * values
-        total = unnormalized.sum()
-        posteriors[x] = (Posterior(np.full(cards[x], 1.0 / cards[x]), impossible=True)
-                         if total == 0.0 else Posterior(unnormalized / total, impossible=False))
+        posteriors[x] = _normalized(unnormalized, cards[x])
     return posteriors
 
 
@@ -409,10 +420,13 @@ def class_cpt_query(net: BayesNet, evidence: Mapping[str, int]) -> Posterior:
     """P(C | everything else), the detector's per-cell anomaly query.
 
     The evidence must assign every non-class variable of the fitted network
-    (G, I, BS, BAR and, for spatio-temporal models, V and D).
+    (G, I, BS, BAR and, for spatio-temporal models, V and D). The answer is
+    ``leave_one_out``'s for X = C, the reduction explanations use.
     """
     expected = set(net.dag.names) - {"C"}
     if set(evidence) != expected:
         raise ValueError(f"class query needs evidence for exactly {sorted(expected)}, "
                          f"got {sorted(evidence)}")
-    return eliminate(net, "C", evidence)
+    # leave_one_out needs a full assignment; the posterior of X never reads
+    # X's own code, so any in-range class code serves
+    return leave_one_out(net, {**evidence, "C": 0}, ("C",))["C"]

@@ -6,11 +6,12 @@ resulting distributions show which attribute values were plausible at
 that location and where the observed value ranks among them, in the same
 vocabulary the model was trained on.
 
-The class breakdown is the scoring query itself, ``bn.eliminate``, so it
-equals the score bit for bit. The other attributes of a cell come from
-one ``bn.leave_one_out`` reduction of the cell's full assignment, which
-gives the bits ``eliminate`` would. The writer spells the JSON text
-directly, byte for byte what ``json.dumps(..., indent=2)`` writes.
+Every breakdown of a cell, the class one included, comes from one
+``bn.leave_one_out`` reduction of the cell's full assignment, the kernel
+scoring queries too, so the class breakdown equals the score bit for bit.
+Only an unseen class, whose BS and V stay hidden, goes to ``bn.eliminate``.
+The writer spells the JSON text directly, byte for byte what
+``json.dumps(..., indent=2)`` writes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .featurize import CATEGORIES, CODES
 from .pipeline import (
     REASON_UNSEEN_CLASS,
     CellScore,
-    GranularityModel,
     ModelBundle,
     ScoredObject,
     object_evidence,
@@ -69,12 +69,6 @@ class ObjectExplanation:
     fusion: str
 
 
-def _labels_for(rv: str, bundle: ModelBundle):
-    if rv == "C":
-        return bundle.class_ids
-    return CATEGORIES[rv]
-
-
 def _breakdown(posterior: bn.Posterior, labels, observed_label,
                observed_index: int | None) -> RvBreakdown:
     probabilities = tuple(posterior.values.tolist())
@@ -92,13 +86,12 @@ def explain_cell(bundle: ModelBundle, cell_size: int, cell: int,
                  assignment: Mapping[str, object]) -> CellExplanation:
     """Breakdown of every attribute's posterior at one grid cell.
 
-    ``assignment`` holds the observed values: "C" as a class id and the
-    categorical attributes as labels, complete for the bundle's model kind.
-    For each attribute X the posterior P(X | G = cell, rest of assignment)
-    is computed; its value at the observed class for X = C is exactly the
-    per-cell score the scoring pipeline used. The class posterior is
-    ``bn.eliminate``'s, as in scoring; the others share one
-    ``bn.leave_one_out`` reduction of the cell's codes.
+    ``assignment`` holds the observed values: "C" as an integer class id and
+    the categorical attributes as labels, complete for the bundle's model
+    kind. For each attribute X the posterior P(X | G = cell, rest of
+    assignment) is computed, all from one ``bn.leave_one_out`` reduction of
+    the cell's codes; its value at the observed class for X = C is exactly
+    the per-cell score the scoring pipeline used.
     """
     gran = bundle.granularity(cell_size)
     rvs = [rv for rv in gran.net.dag.names if rv != "G"]
@@ -108,41 +101,25 @@ def explain_cell(bundle: ModelBundle, cell_size: int, cell: int,
     if not 1 <= cell <= gran.grid.cell_count:
         raise ValueError(f"cell {cell} outside grid with {gran.grid.cell_count} cells")
     codes: dict[str, int] = {"G": cell - 1}
-    observed_index: dict[str, int | None] = {}
     for rv in rvs:
         value = assignment[rv]
         if rv == "C":
-            idx = bundle.class_index(int(value))
-            if idx is None:
+            codes["C"] = bundle.class_index(bn._integer("C", value))
+            if codes["C"] is None:
                 raise ValueError(f"class {value} not in the fitted network; "
                                  "unseen classes have no cell explanation")
-            codes["C"] = idx
-            observed_index["C"] = idx
-        else:
-            if value not in CATEGORIES[rv]:
-                raise ValueError(f"{value!r} is not a {rv} category")
+        elif value in CATEGORIES[rv]:
             codes[rv] = CODES[rv][value]
-            observed_index[rv] = CODES[rv][value]
-    posteriors = bn.leave_one_out(gran.net, codes, tuple(rv for rv in rvs if rv != "C"))
-    posteriors["C"] = bn.eliminate(gran.net, "C", {k: v for k, v in codes.items() if k != "C"})
-    breakdowns = {rv: _breakdown(posteriors[rv], _labels_for(rv, bundle), assignment[rv],
-                                 observed_index[rv]) for rv in rvs}
+        else:
+            raise ValueError(f"{value!r} is not a {rv} category")
+    posteriors = bn.leave_one_out(gran.net, codes, tuple(rvs))
+    breakdowns = {rv: _breakdown(posteriors[rv], bundle.class_ids if rv == "C" else CATEGORIES[rv],
+                                 assignment[rv], codes[rv]) for rv in rvs}
     # impossible evidence shows a flagged uniform distribution, but the
     # score itself mirrors the pipeline's 0.0 for such cells
     class_score = 0.0 if breakdowns["C"].impossible \
         else breakdowns["C"].observed_probability
     return CellExplanation(cell_size, cell, dict(assignment), breakdowns, class_score)
-
-
-def _unseen_cell_explanation(bundle: ModelBundle, gran: GranularityModel,
-                             cell: int, evidence: dict[str, int],
-                             labels: dict) -> CellExplanation:
-    # The class posterior can still be shown from the class-independent
-    # evidence; its support necessarily omits the unseen class.
-    breakdown = _breakdown(bn.eliminate(gran.net, "C", evidence), bundle.class_ids,
-                           labels["C"], None)
-    return CellExplanation(gran.grid.cell_size, cell, dict(labels),
-                           {"C": breakdown}, 0.0)
 
 
 def explain_object(bundle: ModelBundle, scored: ScoredObject) -> ObjectExplanation:
@@ -159,7 +136,12 @@ def explain_object(bundle: ModelBundle, scored: ScoredObject) -> ObjectExplanati
                                 scored.prev_center, scored.frame_gap)
         for cell, evidence, labels in items:
             if scored.reason == REASON_UNSEEN_CLASS:
-                cells.append(_unseen_cell_explanation(bundle, gran, cell, evidence, labels))
+                # BS and any V stay hidden: the class posterior from the class-
+                # independent evidence; its support omits the unseen class
+                breakdown = _breakdown(bn.eliminate(gran.net, "C", evidence), bundle.class_ids,
+                                       labels["C"], None)
+                cells.append(CellExplanation(gran.grid.cell_size, cell, dict(labels),
+                                             {"C": breakdown}, 0.0))
             else:
                 cells.append(explain_cell(bundle, gran.grid.cell_size, cell, labels))
     return ObjectExplanation(scored.frame, scored.track_id, scored.class_id,

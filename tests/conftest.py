@@ -21,9 +21,14 @@ def random_net(rng: np.random.Generator, max_nodes: int = 6,
     edges = tuple((f"n{i}", f"n{j}")
                   for i in range(n_nodes) for j in range(i + 1, n_nodes)
                   if rng.random() < 0.4)
-    dag = bn.Dag(nodes, edges)
+    return random_cpts(rng, bn.Dag(nodes, edges), zero_rate)
+
+
+def random_cpts(rng: np.random.Generator, dag: bn.Dag, zero_rate: float = 0.2) -> bn.BayesNet:
+    """Random CPTs on a given graph; a share ``zero_rate`` of them holds one
+    structural zero."""
     cpts = []
-    for name, card in nodes:
+    for name, card in dag.nodes:
         parents = dag.parents(name)
         parent_cards = tuple(dag.cardinality(p) for p in parents)
         n_configs = int(np.prod(parent_cards)) if parents else 1

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_net, random_query
+from conftest import random_cpts, random_net, random_query
 from gridvad import bn
+
+# evidence codes that int() would truncate or parse into an in-range code
+NOT_INTEGERS = (1.0, 0.5, True, np.bool_(True), "1", np.float64(1.0))
 
 
 class TestDag:
@@ -182,8 +185,13 @@ class TestEliminate:
             bn.eliminate(self.chain(), "A", {"A": 0})
 
     def test_evidence_value_out_of_range(self):
-        with pytest.raises(ValueError):
-            bn.eliminate(self.chain(), "B", {"A": 5})
+        for bad in (5, *NOT_INTEGERS):
+            with pytest.raises(ValueError, match="A="):
+                bn.eliminate(self.chain(), "B", {"A": bad})
+
+    def test_numpy_integer_evidence_reads_as_its_value(self):
+        assert (bn.eliminate(self.chain(), "B", {"A": np.int64(1)}).values.tobytes()
+                == bn.eliminate(self.chain(), "B", {"A": 1}).values.tobytes())
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(13)
@@ -245,12 +253,40 @@ class TestClassCptQuery:
         net, _ = self.fitted("spatial")
         with pytest.raises(ValueError, match="exactly"):
             bn.class_cpt_query(net, {"G": 0, "I": 1})
+        complete = {"G": 1, "I": 1, "BS": 1, "BAR": 1}
+        for var in complete:
+            for bad in NOT_INTEGERS:
+                with pytest.raises(ValueError, match=f"{var}=.* is not an integer"):
+                    bn.class_cpt_query(net, {**complete, var: bad})
+
+    @staticmethod
+    def _matches_plain_eliminate(net, evidence) -> bool:
+        """Assert the class query is eliminate's, bit for bit; return whether impossible."""
+        got, want = bn.class_cpt_query(net, evidence), bn.eliminate(net, "C", evidence)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.impossible == want.impossible
+        return want.impossible
 
     def test_matches_plain_eliminate(self):
-        net, _ = self.fitted("spatiotemporal")
-        evidence = {"G": 1, "I": 0, "BS": 1, "BAR": 2, "V": 3, "D": 8}
-        assert np.array_equal(bn.class_cpt_query(net, evidence).values,
-                              bn.eliminate(net, "C", evidence).values)
+        rng = np.random.default_rng(21)
+        impossible = 0
+        for _ in range(300):
+            kind = bn.MODEL_KINDS[int(rng.integers(2))]
+            dag = bn.build_structure(kind, cell_count=int(rng.integers(1, 5)),
+                                     class_count=int(rng.integers(1, 4)))
+            net = random_cpts(rng, dag, zero_rate=0.8)
+            evidence = {n: int(rng.integers(c)) for n, c in dag.nodes if n != "C"}
+            impossible += self._matches_plain_eliminate(net, evidence)
+        assert impossible > 0  # the structural zeros reach the uniform fallback
+
+    def test_matches_plain_eliminate_on_fitted_detector_networks(self, reference_run):
+        rng = np.random.default_rng(22)
+        impossible = 0
+        for gran in reference_run["bundle"].granularities:
+            for _ in range(200):
+                evidence = {n: int(rng.integers(c)) for n, c in gran.net.dag.nodes if n != "C"}
+                impossible += self._matches_plain_eliminate(gran.net, evidence)
+        assert impossible > 0
 
     def test_detector_network_matches_brute_force(self):
         net, _ = self.fitted("spatiotemporal")
@@ -331,6 +367,22 @@ class TestLeaveOneOut:
             bn.leave_one_out(net, full, ("nope",))
         with pytest.raises(ValueError, match="outside"):
             bn.leave_one_out(net, {**full, first: net.dag.cardinality(first)}, (first,))
+        for bad in NOT_INTEGERS:
+            with pytest.raises(ValueError, match=f"{first}=.* is not an integer"):
+                bn.leave_one_out(net, {**full, first: bad}, (first,))
+
+    def test_posterior_ignores_the_queried_variables_own_code(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            net = random_net(rng, max_nodes=6, max_card=4, zero_rate=0.8)
+            assignment = {name: int(rng.integers(net.dag.cardinality(name)))
+                          for name in net.dag.names}
+            for x, card in net.dag.nodes:
+                want = bn.leave_one_out(net, assignment, (x,))[x]
+                for code in range(card):
+                    got = bn.leave_one_out(net, {**assignment, x: code}, (x,))[x]
+                    assert got.values.tobytes() == want.values.tobytes()
+                    assert got.impossible == want.impossible
 
 
 class TestCptValidation:

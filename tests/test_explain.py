@@ -16,7 +16,7 @@ from gridvad.explain import (
     plot_data,
     write_explanation,
 )
-from gridvad.ingest import TrackSet, TrackedDetection
+from gridvad.ingest import TrackSet, TrackedDetection, filter_detections
 from gridvad.pipeline import (REASON_UNSEEN_CLASS, REASONS, CellScore, TrainConfig, score_frames,
                               score_object, train)
 
@@ -76,6 +76,19 @@ class TestExplainCell:
     def test_incomplete_assignment_rejected(self, det_bundle):
         with pytest.raises(ValueError, match="missing"):
             explain_cell(det_bundle, 40, 5, {"C": 1, "I": "small"})
+
+    # class ids that int() would read as the trained class 1
+    @pytest.mark.parametrize("class_id", [True, 1.0, "1"])
+    def test_class_id_must_be_an_integer(self, det_bundle, class_id):
+        with pytest.raises(ValueError, match="C=.* is not an integer"):
+            explain_cell(det_bundle, 40, 5,
+                         {"C": class_id, "I": "small", "BS": "medium", "BAR": "portrait",
+                          "V": "idle", "D": "none"})
+
+    def test_numpy_integer_class_id_accepted(self, det_bundle):
+        assignment = {"I": "small", "BS": "medium", "BAR": "portrait", "V": "idle", "D": "none"}
+        assert (explain_cell(det_bundle, 40, 5, {"C": np.int64(1), **assignment}).breakdowns
+                == explain_cell(det_bundle, 40, 5, {"C": 1, **assignment}).breakdowns)
 
     def test_unknown_category_rejected(self, det_bundle):
         with pytest.raises(ValueError, match="category"):
@@ -243,3 +256,46 @@ class TestBreakdownsEqualEliminate:
                     assert b.impossible == want.impossible
                     checked += 1
         assert checked > 500
+
+
+class TestOneKernelOnTheProductPath:
+    """Known-class posteriors come from ``bn.leave_one_out``; ``bn.eliminate``
+    serves only the unseen-class explanation, whose BS and V stay hidden."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        eliminate = bn.eliminate
+
+        def counting(net, query, evidence):
+            calls.append(query)
+            return eliminate(net, query, evidence)
+
+        monkeypatch.setattr(bn, "eliminate", counting)
+        return calls
+
+    def test_scoring_never_eliminates(self, reference_run, eliminations):
+        bundle = reference_run["bundle"]
+        score_frames(bundle, filter_detections(reference_run["test_tracks"],
+                                               reference_run["thresholds"]))
+        known = [d for d in reference_run["test_tracks"].detections[:50]
+                 if bundle.class_index(d.class_id) is not None]
+        assert known
+        for det in known:
+            score_object(bundle, det)
+        assert eliminations == []
+
+    def test_known_class_explanations_never_eliminate(self, reference_run, eliminations):
+        bundle, scored = reference_run["bundle"], reference_run["scored"]
+        known = np.flatnonzero(scored.reason != REASONS.index(REASON_UNSEEN_CLASS))
+        cells = sum(len(explain_object(bundle, scored[i]).cells) for i in known[::50].tolist())
+        assert cells > 0
+        assert eliminations == []
+
+    def test_unseen_class_explanations_eliminate_once_per_cell(self, reference_run,
+                                                                 eliminations):
+        bundle, scored = reference_run["bundle"], reference_run["scored"]
+        unseen = np.flatnonzero(scored.reason == REASONS.index(REASON_UNSEEN_CLASS))
+        cells = sum(len(explain_object(bundle, scored[i]).cells) for i in unseen[:10].tolist())
+        assert cells > 0
+        assert eliminations == ["C"] * cells

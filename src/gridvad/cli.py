@@ -271,11 +271,17 @@ def _cmd_explain(args) -> int:
         raise ScriptError(f"--granularity {args.granularity}: the bundle has cell sizes "
                           f"{', '.join(map(str, bundle.cell_sizes))}")
     tracks = _prepared_tracks(args.tracks, args.format, bundle)
-    found = featurize.find_with_predecessor(tracks.detections, args.frame, args.track_id)
-    if found is None:
+    d = tracks.detections
+    rows = np.flatnonzero((d.frame == args.frame) & (d.track_id == args.track_id))
+    if not rows.size:
         raise TrackFileError(f"no detection with track id {args.track_id} "
                              f"in frame {args.frame}")
-    scored = pipeline.score_object(bundle, *found)
+    # the predecessor train and score pair with this row
+    row, stream = int(rows[0]), featurize.stream_columns(d, featurize.SPATIAL)
+    prev = int(stream.prev[row])
+    motion = (None, None) if prev < 0 else (tuple(stream.center[prev].tolist()),
+                                            int(stream.gap[row]))
+    scored = pipeline.score_object(bundle, d[row], *motion)
     # the score comes from every granularity, the breakdowns only from those asked for
     explanation = explain_object(dataclasses.replace(bundle, granularities=tuple(
         g for g in bundle.granularities if g.grid.cell_size in sizes)), scored)

@@ -153,68 +153,12 @@ def explain_object(bundle: ModelBundle, scored: ScoredObject) -> ObjectExplanati
 # ---------------------------------------------------------------------------
 # JSON output
 
-
-def _breakdown_payload(b: RvBreakdown) -> dict:
-    return {
-        "categories": [str(l) for l in b.labels],
-        "probabilities": list(b.probabilities),
-        "observed": str(b.observed),
-        "observed_probability": b.observed_probability,
-        "rank": b.rank,
-        "impossible": b.impossible,
-    }
-
-
-def explanation_to_dict(explanation: ObjectExplanation) -> dict:
-    """The explanation as JSON data; :func:`write_explanation` writes its text."""
-    return {
-        "frame": explanation.frame,
-        "track_id": explanation.track_id,
-        "class_id": explanation.class_id,
-        "box": list(explanation.box),
-        "reason": explanation.reason,
-        "fused": explanation.fused,
-        "fusion": explanation.fusion,
-        "per_granularity": {str(cs): p for cs, p in
-                            sorted(explanation.per_granularity.items())},
-        "per_cell": {str(cs): [{"cell": c.cell, "probability": c.probability,
-                                "impossible": c.impossible} for c in cell_scores]
-                     for cs, cell_scores in sorted(explanation.per_cell.items())},
-        "cells": [{
-            "cell_size": c.cell_size,
-            "cell": c.cell,
-            "assignment": {k: str(v) for k, v in c.assignment.items()},
-            "class_score": c.class_score,
-            "breakdowns": {rv: _breakdown_payload(b)
-                           for rv, b in c.breakdowns.items()},
-        } for c in explanation.cells],
-    }
-
-
-def plot_data(explanation: ObjectExplanation) -> list[dict]:
-    """Flat per-RV category/probability pairs for external charting; the
-    ``.plot.json`` sidecar holds their text."""
-    rows = []
-    for cell in explanation.cells:
-        for rv, b in cell.breakdowns.items():
-            rows.append({
-                "cell_size": cell.cell_size,
-                "cell": cell.cell,
-                "rv": rv,
-                "categories": [str(l) for l in b.labels],
-                "probabilities": list(b.probabilities),
-                "observed": str(b.observed),
-            })
-    return rows
-
-
-# The writer spells the bytes of ``json.dumps(..., indent=2)`` of the two
-# payloads above straight from the explanation, each object of fixed keys
-# from a template laid out at its depth: ints by ``%d``, floats by
-# ``float.__repr__``, strings by the encoder's ASCII escaper, only
-# non-finite floats through ``json.dumps``. With ``indent`` set,
-# ``json.dumps`` runs its pure-Python encoder, which made it most of an
-# explain request.
+# The two files' format: each object of fixed keys is a template laid out
+# at its depth, with the bytes ``json.dumps(..., indent=2)`` gives: ints by
+# ``%d``, floats by ``float.__repr__``, strings (labels, observed values and
+# keys as text) by the encoder's ASCII escaper, only non-finite floats
+# through ``json.dumps``. With ``indent`` set, ``json.dumps`` runs its
+# pure-Python encoder, which made it most of an explain request.
 _EXPLANATION = """{
   "frame": %d,
   "track_id": %d,
@@ -277,8 +221,7 @@ def _mapping(pairs, indent: str) -> str:
 def write_explanation(explanation: ObjectExplanation, path) -> Path:
     """Write explanation JSON plus the .plot.json sidecar; returns the main path.
 
-    The files hold the bytes ``json.dumps(..., indent=2)`` writes for
-    :func:`explanation_to_dict` and :func:`plot_data`.
+    Their format is the templates above: one ``_EXPLANATION``, and a list of ``_PLOT_ROW``.
     """
     e = explanation
     # both files list every distribution: spell each once

@@ -28,7 +28,7 @@ import csv
 import math
 from dataclasses import dataclass
 from operator import ge, gt, le, lt
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ import numpy as np
 from .bn import (ASPECT_CATEGORIES, CATEGORIES, DIRECTION_CATEGORIES,  # noqa: F401
                  INTERSECTION_CATEGORIES, MODEL_KINDS, NODE_ORDER, SIZE_CATEGORIES, SPATIAL,
                  SPATIOTEMPORAL, VELOCITY_CATEGORIES)
-from .ingest import Box, Detections, TrackedDetection, TrackSet
+from .ingest import Box, Detections, TrackSet
 
 # label -> integer code of every network variable
 CODES = {rv: {label: i for i, label in enumerate(labels)}
@@ -211,39 +211,6 @@ def motion(prev_center: tuple[float, float], cur_center: tuple[float, float],
     return speed, math.degrees(math.atan2(-dy, dx))
 
 
-def with_predecessors(detections: Iterable[TrackedDetection]) -> Iterator[
-        tuple[TrackedDetection, tuple[float, float] | None, int | None]]:
-    """Pair each detection with its track's previous surviving detection.
-
-    Yields (detection, previous box center, frame gap) in input order, or
-    (detection, None, None) on a track's first appearance. Detections must
-    be frame-sorted, as in a TrackSet; the gap is the true frame distance,
-    so motion stays comparable between sliced and unsliced streams.
-    """
-    last: dict[int, tuple[int, tuple[float, float]]] = {}
-    for det in detections:
-        prev = last.get(det.track_id)
-        if prev is None:
-            yield det, None, None
-        else:
-            yield det, prev[1], det.frame_index - prev[0]
-        last[det.track_id] = (det.frame_index, box_center(det.box))
-
-
-def find_with_predecessor(detections: Detections, frame: int, track_id: int):
-    """(detection, previous box center, frame gap) of ``track_id`` in ``frame``, as
-    :func:`with_predecessors` pairs them, found with column masks; None if absent."""
-    rows = np.flatnonzero(detections.track_id == track_id)  # the track in stream order
-    at = np.flatnonzero(detections.frame[rows] == frame)
-    if not at.size:
-        return None
-    det = detections[int(rows[at[0]])]
-    if at[0] == 0:
-        return det, None, None
-    prev = detections[int(rows[at[0] - 1])]
-    return det, box_center(prev.box), det.frame_index - prev.frame_index
-
-
 def fit_discretizer(train: TrackSet, stream: StreamColumns | None = None) -> DiscretizationModel:
     """Fit per-class area and speed statistics from a training track set.
 
@@ -384,8 +351,10 @@ class StreamColumns(NamedTuple):
 
     ``center`` holds the (x, y) box centers of :func:`box_center`. ``prev``
     indexes the track's previous detection (-1 on a first appearance) and
-    ``gap`` is the true frame distance to it (-1 without one), as
-    :func:`with_predecessors` pairs them. ``speed`` and ``angle`` come from
+    ``gap`` is the true frame distance to it (-1 without one): a
+    detection's predecessor is the latest earlier detection of its track
+    in the stream, so motion stays comparable between sliced and unsliced
+    streams. ``speed`` and ``angle`` come from
     :func:`motion` for spatio-temporal streams; a detection without a
     predecessor or heading has speed 0 and angle NaN.
     """

@@ -589,17 +589,30 @@ def parse_tracks(source, format: str = "jsonl") -> TrackSet:
         return parser(fh)
 
 
+def _first_nonfinite(*columns: np.ndarray) -> int | None:
+    """The first row with a non-finite value in any of the (n,) or (n, k) columns: every
+    jsonl writer refuses such a row, which JSON cannot hold and the readers refuse."""
+    bad = np.zeros(len(columns[0]), dtype=bool)
+    for column in columns:
+        finite = np.isfinite(column)
+        bad |= ~(finite.all(axis=1) if finite.ndim == 2 else finite)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def write_tracks(tracks: TrackSet, target) -> None:
-    """Serialize a TrackSet to the jsonl interchange format."""
+    """Write a TrackSet as jsonl, one ``TRACK_FIELDS`` row per detection; a non-finite box
+    or confidence raises ValueError naming the detection before anything is written."""
+    d = tracks.detections
+    bad = _first_nonfinite(d.box, d.confidence)
+    if bad is not None:
+        raise ValueError(f"detection of track {d.track_id[bad]} in frame {d.frame[bad]} "
+                         "has a non-finite box or confidence")
     with _open_text(target, "w") as fh:
         w, h = tracks.resolution
         fh.write(json.dumps({"width": w, "height": h, "frames": tracks.frame_count}) + "\n")
-        d = tracks.detections
-        for frame, track, class_id, box, confidence in zip(
-                d.frame.tolist(), d.track_id.tolist(), d.class_id.tolist(), d.box.tolist(),
-                d.confidence.tolist()):
-            fh.write(json.dumps({"frame": frame, "id": track, "class": class_id,
-                                 "box": box, "conf": confidence}) + "\n")
+        for row in zip(d.frame.tolist(), d.track_id.tolist(), d.class_id.tolist(),
+                       d.box.tolist(), d.confidence.tolist()):
+            fh.write(json.dumps(dict(zip(TRACK_FIELDS, row))) + "\n")
 
 
 def parse_ground_truth(source, frame_count: int | None = None) -> GroundTruth:
@@ -643,9 +656,15 @@ def parse_ground_truth(source, frame_count: int | None = None) -> GroundTruth:
 
 
 def write_ground_truth(gt: GroundTruth, target) -> None:
+    """One ``GT_FIELDS`` row per region; a non-finite box raises ValueError naming
+    the region before anything is written."""
+    bad = _first_nonfinite(np.array([r.box for r in gt.regions], np.float64).reshape(-1, 4))
+    if bad is not None:
+        raise ValueError("ground-truth region {0.gt_id} in frame {0.frame} has a non-finite "
+                         "box".format(gt.regions[bad]))
     with _open_text(target, "w") as fh:
         for r in gt.regions:
-            fh.write(json.dumps({"frame": r.frame, "gt_id": r.gt_id, "box": list(r.box)}) + "\n")
+            fh.write(json.dumps(dict(zip(GT_FIELDS, (r.frame, r.gt_id, list(r.box))))) + "\n")
 
 
 def _group_threshold(confidences: np.ndarray, group: str) -> float:

@@ -55,8 +55,8 @@ from .featurize import (
     stream_columns,
 )
 from .ingest import (BOX, INTEGER, NUMBER, ColumnTable, ConfidenceThresholds, TrackSet,
-                     TrackedDetection, _json_columns, _json_values, _read_chunks, _row_error,
-                     _sorted_repeats)
+                     TrackedDetection, _first_nonfinite, _json_columns, _json_values,
+                     _read_chunks, _row_error, _sorted_repeats)
 
 BUNDLE_FORMAT = "gridvad-bundle"
 BUNDLE_VERSION = 1
@@ -669,6 +669,9 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                                    _array(c["observed"], bool, 1, f"{at}.observed")))
             gran = GranularityModel(grid, disc, bn.BayesNet(dag, tuple(cpts)))
             _check_granularity(gran, kind, resolution, class_ids)
+            if type(g.get("cell_size")) is not int or g["cell_size"] != grid.cell_size:
+                raise ValueError(f"bundle field {where}.cell_size must equal its grid's "
+                                 f"cell_size {grid.cell_size}, not {g.get('cell_size')!r}")
             if any(other.grid.cell_size == grid.cell_size for other in granularities):
                 raise ValueError(f"bundle field {where}: cell_size {grid.cell_size} repeats")
             granularities.append(gran)
@@ -695,15 +698,6 @@ def load_bundle(path) -> ModelBundle:
 
 # ---------------------------------------------------------------------------
 # scores.jsonl
-
-
-def _first_nonfinite(*columns: np.ndarray) -> int | None:
-    """The first row with a non-finite value in any of the (n,) or (n, k) columns."""
-    bad = np.zeros(len(columns[0]), dtype=bool)
-    for column in columns:
-        finite = np.isfinite(column)
-        bad |= ~(finite.all(axis=1) if finite.ndim == 2 else finite)
-    return int(np.argmax(bad)) if bad.any() else None
 
 
 def write_scores(path, table: ScoreTable, frame_scores: FrameScores) -> None:
@@ -750,8 +744,9 @@ def read_scores(path) -> tuple[ScoreTable, FrameScores]:
     first object row's ``per_granularity`` keys as cell sizes (none
     without object rows), no scored cells and ``prev``/``gap`` -1.
 
-    Fields are read as track fields are. A bad field, a ``per_granularity``
-    without exactly the first object row's keys, an unknown reason and a
+    Fields are read as track fields are, and those keys as bundle keys are:
+    plain decimal text of distinct integers >= 1. A bad field, a
+    ``per_granularity`` without exactly those keys, an unknown reason and a
     non-finite box, score, raw or smoothed value raise TrackFileError
     naming the line, in file order. Then so do frame rows that do not
     number frames 1 to N once each, and object rows outside those frames.
@@ -772,7 +767,11 @@ def read_scores(path) -> tuple[ScoreTable, FrameScores]:
         grans = [v.get("per_granularity") for v in objects]
         if grans and fields is None:  # its keys must name distinct cell sizes
             sizes = list(grans[0]) if type(grans[0]) is dict else []
-            distinct = all(map(str.isdecimal, sizes)) and len(set(map(int, sizes))) == len(sizes)
+            try:  # read by the bundle's key rule, each a cell size >= 1
+                cell_sizes = {_check_integer(cs, "cell size", key=True) for cs in sizes}
+            except ValueError:
+                cell_sizes = set()
+            distinct = len(cell_sizes) == len(sizes) and min(cell_sizes, default=0) >= 1
             fields = dict.fromkeys(sizes, NUMBER) if distinct else {}
         per_granularity, grans_error = (_json_columns(grans, object_lines, fields) if fields
                                         else ([], None))
@@ -785,7 +784,7 @@ def read_scores(path) -> tuple[ScoreTable, FrameScores]:
              lambda r: "a box or score is not a finite number"),
             ([not fields or type(g) is not dict or g.keys() != fields.keys() for g in grans],
              lambda r: f"per_granularity {grans[r]!r} is not an object of scores keyed by the "
-                       "first object row's distinct integer cell sizes"),
+                       "first object row's distinct decimal cell sizes >= 1"),
             (reason < 0, lambda r: f"unknown reason {reasons[r]!r}"),
         ], object_lines), grans_error, frame_error, _row_error([
             (~np.isfinite(raw) | ~np.isfinite(smoothed),

@@ -344,6 +344,10 @@ class TestBundleValidation:
         (_fractional_class_key, "discretizer.classes key"),
         (lambda b: b["granularities"][0]["net"]["nodes"][0].__setitem__(1, 144.5),
          "granularities[0].net.nodes[0]"),
+        (lambda b: b["granularities"][0].update(cell_size=999),
+         "granularities[0].cell_size must equal its grid's cell_size 40, not 999"),
+        (lambda b: b["granularities"][0].pop("cell_size"),
+         "granularities[0].cell_size must equal its grid's cell_size 40, not None"),
     ], ids=["class-ids-short", "class-ids-long", "class-ids-empty", "grid-resolution",
             "grid-cols", "grid-cell-size", "missing-grid", "missing-thresholds",
             "grid-not-object", "null-table", "undeclared-parent", "repeated-cell-size",
@@ -353,7 +357,8 @@ class TestBundleValidation:
             "size-std-negative", "speed-mean-bool", "speed-mean-inf", "threshold-null",
             "threshold-nan", "threshold-above-one", "cpt-nan", "cell-size-fraction",
             "rows-text", "class-ids-text", "resolution-float", "class-key-fraction",
-            "cardinality-fraction"])
+            "cardinality-fraction", "granularity-cell-size-other",
+            "granularity-cell-size-missing"])
     def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
                                                 corrupt, field):
         bundle = json.loads((workspace / "model.bundle").read_text())

@@ -12,13 +12,12 @@ from gridvad.explain import (
     RvBreakdown,
     explain_cell,
     explain_object,
-    explanation_to_dict,
-    plot_data,
     write_explanation,
 )
 from gridvad.ingest import TrackSet, TrackedDetection, filter_detections
 from gridvad.pipeline import (REASON_UNSEEN_CLASS, REASONS, CellScore, TrainConfig, score_frames,
                               score_object, train)
+from oracles import explanation_to_dict, plot_data
 
 
 def deterministic_tracks():

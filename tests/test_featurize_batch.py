@@ -21,9 +21,9 @@ from gridvad.featurize import (
     motion,
     observation_codes,
     stream_columns,
-    with_predecessors,
 )
 from gridvad.ingest import TrackSet, TrackedDetection
+from oracles import with_predecessors
 
 
 UNSEEN_CLASS = 17

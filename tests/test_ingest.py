@@ -7,6 +7,7 @@ import pytest
 
 from gridvad.ingest import (
     ConfidenceThresholds,
+    GroundTruth,
     GtRegion,
     TrackFileError,
     TrackSet,
@@ -180,6 +181,43 @@ class TestRoundTrip:
         write_ground_truth(gt, buffer)
         buffer.seek(0)
         assert parse_ground_truth(buffer) == gt
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestWritersRefuseNonFinite:
+    """JSON cannot hold NaN or infinity and the readers refuse them, so the writers do."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["x1", "y1", "x2", "y2", "conf"])
+    def test_track_box_or_confidence(self, tmp_path, field, value):
+        box = [10.0, 20.0, 30.0, 80.0]
+        conf = value if field == "conf" else 0.5
+        if field != "conf":
+            box[("x1", "y1", "x2", "y2").index(field)] = value
+        ts = TrackSet((640, 360), 100, (TrackedDetection(1, 3, 1, (1.0, 2.0, 3.0, 4.0), 0.9),
+                                        TrackedDetection(2, 7, 1, tuple(box), conf)))
+        path = tmp_path / "tracks.jsonl"
+        with pytest.raises(ValueError, match="detection of track 7 in frame 2 has a non-finite"):
+            write_tracks(ts, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("coordinate", range(4))
+    def test_ground_truth_box(self, tmp_path, coordinate, value):
+        box = [1.0, 2.0, 3.0, 4.0]
+        box[coordinate] = value
+        gt = GroundTruth((GtRegion(1, 0, (1.0, 2.0, 3.0, 4.0)), GtRegion(5, 2, tuple(box))))
+        path = tmp_path / "gt.jsonl"
+        with pytest.raises(ValueError, match="ground-truth region 2 in frame 5 has a non-finite"):
+            write_ground_truth(gt, path)
+        assert not path.exists()
+
+    def test_no_regions(self):
+        buffer = io.StringIO()
+        write_ground_truth(GroundTruth(()), buffer)
+        assert buffer.getvalue() == ""
 
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridvad import bn, pipeline
-from gridvad.featurize import BOX_MODES, box_center, generate_observations, with_predecessors
+from gridvad.featurize import BOX_MODES, box_center, generate_observations
 from gridvad.ingest import (ConfidenceThresholds, TrackFileError, TrackSet, TrackedDetection,
                             filter_detections)
 from gridvad.pipeline import (
@@ -26,6 +26,7 @@ from gridvad.pipeline import (
     train,
     write_scores,
 )
+from oracles import with_predecessors
 
 
 def mini_tracks():

@@ -11,6 +11,8 @@ frames, object rows whose per_granularity keys differ from the first one's).
 import io
 import json
 import math
+import random
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -19,12 +21,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridvad import cli, featurize, ingest, pipeline
-from gridvad.featurize import find_with_predecessor, with_predecessors
+from gridvad import cli, ingest, pipeline
+from gridvad.explain import explain_object, write_explanation
 from gridvad.ingest import (GroundTruth, GtRegion, TrackFileError, filter_detections,
                             parse_ground_truth, parse_tracks, write_ground_truth)
 from gridvad.pipeline import (REASONS, ScoredObject, ScoreTable, read_scores,
-                              score_frames, write_scores)
+                              score_frames, score_object, write_scores)
+from oracles import with_predecessors
 
 chunks = st.sampled_from([1, 2, 3, 7, ingest.CHUNK_LINES])
 
@@ -124,10 +127,11 @@ def ref_scores(text):
                 raise Bad
             track, class_id = ref_integer(row["id"]), ref_integer(row["class"])
             grans = row["per_granularity"]
-            # refused by the columnar reader: keys other than the first object row's
+            # refused by the columnar reader: keys other than the first object row's,
+            # which must be cell sizes >= 1 spelled as plain ASCII decimals
             if keys is None:
                 keys = set(grans) if type(grans) is dict else set()
-                if not all(map(str.isdecimal, keys)) or len(set(map(int, keys))) < len(keys):
+                if not all(re.fullmatch("[1-9][0-9]*", k) for k in keys):
                     keys = set()
             if type(grans) is not dict or not keys or grans.keys() != keys:
                 raise Bad
@@ -426,6 +430,30 @@ class TestScoresRoundTrip:
         assert (report["frame_auc"], report["rbdc"], report["tbdc"]) == (0.5, 0.0, 0.0)
 
 
+class TestCellSizeKeys:
+    """``per_granularity`` keys are read by the bundle's key rule, each a cell size >= 1."""
+
+    @staticmethod
+    def path(tmp_path, key):
+        rows = [{**row, "per_granularity": {key: 0.5}} if "score" in row else row
+                for row in SCORE_ROWS]
+        path = tmp_path / "scores.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("key", ["040", "\u0664\u0660", "0", "-40", "+40", " 40", "40.0"],
+                             ids=["leading-zero", "arabic-indic", "zero", "negative", "plus",
+                                  "space", "fraction"])
+    def test_refused(self, tmp_path, key):
+        with pytest.raises(TrackFileError, match="^line 1: per_granularity ") as excinfo:
+            read_scores(self.path(tmp_path, key))
+        assert excinfo.value.line == 1
+
+    def test_plain_decimal_read(self, tmp_path):
+        table, _frames = read_scores(self.path(tmp_path, "40"))
+        assert table.cell_sizes == (40,) and table.per_granularity.tolist() == [[0.5]] * 4
+
+
 @pytest.fixture(scope="module")
 def scene(tmp_path_factory):
     """Scores and ground truth of one synthetic scene, written by the command line."""
@@ -526,22 +554,53 @@ class TestEvalOnColumns:
 
 
 class TestExplainLookup:
-    def test_masks_find_what_the_walk_finds(self, scene):
-        tracks = parse_tracks(scene / "data" / "test_tracks.jsonl")
-        for det, prev_center, gap in with_predecessors(tracks.detections):
-            assert find_with_predecessor(tracks.detections, det.frame_index,
-                                         det.track_id) == (det, prev_center, gap)
+    """``gridvad explain`` reads the requested row's predecessor from the stream columns."""
 
-    def test_absent_object(self, scene):
-        tracks = parse_tracks(scene / "data" / "test_tracks.jsonl")
-        assert find_with_predecessor(tracks.detections, 1, 10 ** 6) is None
-        assert find_with_predecessor(tracks.detections, 10 ** 6, 0) is None
+    @staticmethod
+    def explain(scene, out, frame, track_id):
+        return cli.main(["explain", "--model", str(scene / "model.bundle"),
+                         "--tracks", str(scene / "data" / "test_tracks.jsonl"),
+                         "--frame", str(frame), "--track-id", str(track_id),
+                         "--granularity", "all", "--out", str(out)])
+
+    def test_masks_find_what_the_walk_finds(self, scene, tmp_path):
+        bundle = pipeline.load_bundle(scene / "model.bundle")
+        tracks = filter_detections(parse_tracks(scene / "data" / "test_tracks.jsonl"),
+                                   bundle.thresholds)
+        pairs = list(with_predecessors(tracks.detections))
+        rng = random.Random(0)
+        sample = (rng.sample([p for p in pairs if p[1] is None], 3)
+                  + rng.sample([p for p in pairs if p[1] is not None], 9))
+        for det, prev_center, gap in sample:
+            out, expected = tmp_path / "explanation.json", tmp_path / "expected.json"
+            assert self.explain(scene, out, det.frame_index, det.track_id) == 0
+            write_explanation(explain_object(bundle, score_object(bundle, det, prev_center, gap)),
+                              expected)
+            assert out.read_bytes() == expected.read_bytes()
+            assert (out.with_suffix(".plot.json").read_bytes()
+                    == expected.with_suffix(".plot.json").read_bytes())
+
+    def test_absent_object(self, scene, tmp_path, capsys):
+        for frame, track_id in ((1, 10 ** 6), (10 ** 6, 0)):
+            out = tmp_path / "explanation.json"
+            assert self.explain(scene, out, frame, track_id) == 1
+            assert (f"no detection with track id {track_id} in frame {frame}"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_explain_walks_no_detections(self, scene, tmp_path, monkeypatch):
-        monkeypatch.setattr(featurize, "with_predecessors", None)
+        built = []
+
+        class Counting(ingest.TrackedDetection):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
         tracks = parse_tracks(scene / "data" / "test_tracks.jsonl")
-        det = tracks.detections[-1]
-        assert cli.main(["explain", "--model", str(scene / "model.bundle"),
-                         "--tracks", str(scene / "data" / "test_tracks.jsonl"),
-                         "--frame", str(det.frame_index), "--track-id", str(det.track_id),
-                         "--out", str(tmp_path / "explanation.json")]) == 0
+        det = [d for d, prev_center, _ in with_predecessors(tracks.detections)
+               if prev_center is not None][-1]  # a row with a predecessor
+        monkeypatch.setattr(ingest, "TrackedDetection", Counting)
+        assert self.explain(scene, tmp_path / "explanation.json", det.frame_index,
+                            det.track_id) == 0
+        assert built == [(det.frame_index, det.track_id, det.class_id, det.box,
+                          det.confidence)]

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridvad import cli, pipeline
-from gridvad.featurize import with_predecessors
 from gridvad.ingest import TrackSet, TrackedDetection, filter_detections, parse_tracks
 from gridvad.pipeline import (
     REASONS,
@@ -23,6 +22,7 @@ from gridvad.pipeline import (
     train,
     write_scores,
 )
+from oracles import with_predecessors
 
 
 def json_writer(path, scored, frame_scores):

@@ -169,7 +169,7 @@ class Cpt:
     observed: np.ndarray
 
     def __post_init__(self):
-        n_configs = int(np.prod(self.parent_cards)) if self.parents else 1
+        n_configs = math.prod(self.parent_cards)
         if self.table.shape[0] != n_configs or self.table.ndim != 2:
             raise ValueError(f"CPT for {self.child} has shape {self.table.shape}, "
                              f"expected ({n_configs}, cardinality)")
@@ -245,16 +245,11 @@ def fit_mle(dag: Dag, data: Mapping[str, np.ndarray]) -> BayesNet:
     cpts = []
     for name, card in dag.nodes:
         parents = dag.parents(name)
-        child_col = columns[name]
-        if not parents:
-            counts = np.bincount(child_col, minlength=card).astype(float)
-            table = (counts / counts.sum()).reshape(1, card)
-            cpts.append(Cpt(name, (), (), table, np.array([True])))
-            continue
         parent_cards = tuple(dag.cardinality(p) for p in parents)
+        # a root's one parent configuration is row 0, the ravel of no indices
         rows = np.ravel_multi_index(tuple(columns[p] for p in parents), parent_cards)
-        n_configs = int(np.prod(parent_cards))
-        counts = np.bincount(rows * card + child_col,
+        n_configs = math.prod(parent_cards)
+        counts = np.bincount(rows * card + columns[name],
                              minlength=n_configs * card).astype(float)
         counts = counts.reshape(n_configs, card)
         totals = counts.sum(axis=1)
@@ -400,11 +395,7 @@ def joint_brute_force(net: BayesNet, query: str, evidence: Mapping[str, int],
     column = {name: grids[i] for i, name in enumerate(names)}
     prob = np.ones(grids.shape[1], dtype=float)
     for cpt in net.cpts:
-        if cpt.parents:
-            rows = np.ravel_multi_index(tuple(column[p] for p in cpt.parents),
-                                        cpt.parent_cards)
-        else:
-            rows = np.zeros(grids.shape[1], dtype=np.int64)
+        rows = np.ravel_multi_index(tuple(column[p] for p in cpt.parents), cpt.parent_cards)
         prob = prob * cpt.table[rows, column[cpt.child]]
     for var, val in evidence.items():
         prob = prob * (column[var] == val)

@@ -50,7 +50,7 @@ def iou(a: Box, b: Box) -> float:
 
 
 def roc_auc(signal: np.ndarray, labels: np.ndarray) -> float:
-    """Trapezoidal ROC AUC; ties grouped, which equals midpoint ranking."""
+    """ROC AUC by :func:`curve_auc`'s trapezoids; ties grouped (midpoint ranking)."""
     signal = np.asarray(signal, dtype=float)
     labels = np.asarray(labels, dtype=bool)
     positives = int(labels.sum())
@@ -65,9 +65,9 @@ def roc_auc(signal: np.ndarray, labels: np.ndarray) -> float:
     fps = np.cumsum(~sorted_labels)
     # keep only the last point of every tie group
     last_of_group = np.r_[sorted_signal[1:] != sorted_signal[:-1], True]
-    tpr = np.concatenate(([0.0], tps[last_of_group] / positives))
-    fpr = np.concatenate(([0.0], fps[last_of_group] / negatives))
-    return float(np.trapezoid(tpr, fpr))
+    tpr, fpr = tps[last_of_group] / positives, fps[last_of_group] / negatives
+    points = map(RocPoint, sorted_signal[last_of_group].tolist(), tpr.tolist(), fpr.tolist())
+    return curve_auc([RocPoint(math.inf, 0.0, 0.0), *points], 1.0)
 
 
 def frame_auc(frame_scores: FrameScores, gt: GroundTruth) -> float:

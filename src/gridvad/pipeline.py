@@ -26,7 +26,7 @@ import math
 import operator
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -82,13 +82,13 @@ class TrainConfig:
         _check_settings(self.kind, self.box_mode, self.fusion, self.smoothing_sigma)
 
 
-def _check_settings(kind, box_mode, fusion, smoothing_sigma, where: str = "") -> None:
-    """Reject a model setting the scorer does not know, naming its field after ``where``."""
+def _check_settings(kind, box_mode, fusion, smoothing_sigma) -> None:
+    """Reject a model setting the scorer does not know, naming its field."""
     for name, value, known in (("kind", kind, MODEL_KINDS), ("box_mode", box_mode, BOX_MODES),
                                ("fusion", fusion, FUSION_RULES)):
         if value not in known:
-            raise ValueError(f"{where}{name} must be one of {', '.join(known)}, not {value!r}")
-    _check_number(smoothing_sigma, f"{where}smoothing_sigma", low=0)
+            raise ValueError(f"{name} must be one of {', '.join(known)}, not {value!r}")
+    _check_number(smoothing_sigma, "smoothing_sigma", low=0)
 
 
 def _check_number(value, name: str, low: float = -math.inf, high: float = math.inf) -> None:
@@ -131,6 +131,24 @@ class ModelBundle:
     smoothing_sigma: float = 5.0
     box_mode: str = BOX_MODE_BOTTOM
     thresholds: ConfidenceThresholds = ConfidenceThresholds()
+
+    def __post_init__(self):
+        """One rule for every bundle, trained, loaded or replaced; ValueError names the field."""
+        _check_settings(self.kind, self.box_mode, self.fusion, self.smoothing_sigma)
+        if not self.class_ids:  # no network has a class variable without values
+            raise ValueError("class_ids lists no class")
+        if not self.granularities:
+            raise ValueError("granularities lists no granularity")
+        for k, gran in enumerate(self.granularities):
+            if gran.grid.cell_size in self.cell_sizes[:k]:
+                raise ValueError(f"granularities[{k}]: cell_size {gran.grid.cell_size} repeats")
+            _check_granularity(gran, self.kind, self.resolution, self.class_ids)
+            for cid, stats in gran.discretizer.per_class.items():
+                for name, value in asdict(stats).items():
+                    _check_number(value, f"granularities[{k}].discretizer.per_class[{cid}].{name}",
+                                  low=0 if name.endswith("_std") else -math.inf)
+        for name, value in asdict(self.thresholds).items():
+            _check_number(value, f"thresholds.{name}", 0, 1)
 
     @property
     def cell_sizes(self) -> tuple[int, ...]:
@@ -387,11 +405,11 @@ def score_object(bundle: ModelBundle, det: TrackedDetection,
     """
     base = dict(frame=det.frame_index, track_id=det.track_id, class_id=det.class_id,
                 box=det.box, prev_center=prev_center, frame_gap=frame_gap)
-    if bundle.class_index(det.class_id) is None:
+    class_index = bundle.class_index(det.class_id)
+    if class_index is None:
         zeros = {g.grid.cell_size: 0.0 for g in bundle.granularities}
         return ScoredObject(per_granularity=zeros, fused=0.0,
                             reason=REASON_UNSEEN_CLASS, **base)
-    class_index = bundle.class_index(det.class_id)
     per_granularity: dict[int, float] = {}
     per_cell: dict[int, tuple[CellScore, ...]] = {}
     all_impossible = True
@@ -472,8 +490,6 @@ def score_frames(bundle: ModelBundle, test: TrackSet,
     detection in the test stream. Passing a dict as ``timings`` records
     the number of posterior queries made.
     """
-    if bundle.fusion not in FUSION_RULES:
-        raise ValueError(f"unknown fusion rule {bundle.fusion!r}")
     dets = test.detections
     stream = stream_columns(dets, bundle.kind)
     n = len(dets)
@@ -523,11 +539,6 @@ def score_frames(bundle: ModelBundle, test: TrackSet,
 # bundle serialization
 
 
-def _stats_to_dict(stats: ClassStats) -> dict:
-    return {"size_mean": stats.size_mean, "size_std": stats.size_std,
-            "speed_mean": stats.speed_mean, "speed_std": stats.speed_std}
-
-
 def bundle_to_dict(bundle: ModelBundle) -> dict:
     grans = []
     for g in bundle.granularities:
@@ -539,7 +550,7 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
             "discretizer": {
                 "square_tolerance": SQUARE_TOLERANCE,
                 "idle_speed": IDLE_SPEED,
-                "classes": {str(cid): _stats_to_dict(disc.per_class[cid])
+                "classes": {str(cid): asdict(disc.per_class[cid])
                             for cid in sorted(disc.per_class)},
             },
             "net": {
@@ -582,8 +593,8 @@ def _check_granularity(gran: GranularityModel, kind: str, resolution: tuple[int,
     for name in ("cols", "rows", "resolution"):
         have, want = getattr(grid, name), getattr(expected, name)
         if have != want:
-            raise ValueError(f"{where}: grid {name} is {have}, but this cell_size on "
-                             "{}x{} frames gives {}".format(*resolution, want))
+            raise ValueError(f"{where}: grid {name} is {have}, but this cell_size at "
+                             "resolution {}x{} gives {}".format(*resolution, want))
     layout = bn.build_structure(kind, cell_count=grid.cell_count, class_count=len(class_ids))
     if dag.nodes != layout.nodes or set(dag.edges) != set(layout.edges):
         raise ValueError(f"{where}: the network is not the one train builds for kind "
@@ -610,7 +621,15 @@ def _array(value, dtype, ndim: int, where: str) -> np.ndarray:
     return array
 
 
+def _items(value, where: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ValueError(f"bundle field {where} must be an array of {length or 'any'} items")
+    return value
+
+
 def bundle_from_dict(payload: dict) -> ModelBundle:
+    """Read the JSON only (keys, types, lengths, constants, CPT parents, each
+    ``cell_size``); the :class:`ModelBundle` checks its own consistency."""
     if not isinstance(payload, dict) or payload.get("format") != BUNDLE_FORMAT:
         raise ValueError("not a gridvad model bundle")
     if payload.get("version") != BUNDLE_VERSION:
@@ -618,15 +637,12 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
     try:
         kind, box_mode, fusion, sigma = (payload[key] for key in (
             "kind", "box_mode", "fusion", "smoothing_sigma"))
-        _check_settings(kind, box_mode, fusion, sigma, where="bundle field ")
         resolution = tuple(_check_integer(v, f"bundle field resolution[{k}]")
-                           for k, v in enumerate(payload["resolution"]))
+                           for k, v in enumerate(_items(payload["resolution"], "resolution", 2)))
         class_ids = tuple(_check_integer(c, f"bundle field class_ids[{k}]")
                           for k, c in enumerate(payload["class_ids"]))
-        if not class_ids:  # no network has a class variable without values
-            raise ValueError("bundle field class_ids lists no class")
         granularities = []
-        for i, g in enumerate(payload["granularities"]):
+        for i, g in enumerate(_items(payload["granularities"], "granularities")):
             where = f"granularities[{i}]"
             g = _section(g, where)
             grid_payload = _section(g["grid"], f"{where}.grid")
@@ -642,18 +658,19 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                 if disc_payload[name] != constant:
                     raise ValueError(f"bundle field {at}.{name} must be {constant}, "
                                      f"not {disc_payload[name]!r}")
-            per_class = {}
+            per_class, stat_names = {}, [f.name for f in fields(ClassStats)]
             for cid, stats in _section(disc_payload["classes"], f"{at}.classes").items():
+                if _section(stats, f"{at}.classes.{cid}").keys() != set(stat_names):
+                    raise ValueError(f"bundle field {at}.classes.{cid} must have the keys "
+                                     f"{', '.join(stat_names)}")
                 per_class[_check_integer(cid, f"bundle field {at}.classes key", key=True)] = \
                     ClassStats(**stats)
-                for name, value in stats.items():
-                    _check_number(value, f"bundle field {at}.classes.{cid}.{name}",
-                                  low=0 if name.endswith("_std") else -math.inf)
             disc = DiscretizationModel(per_class)
             net_payload = _section(g["net"], f"{where}.net")
+            nodes, edges = ([_items(v, f"{where}.net.{name}[{k}]", 2) for k, v in
+                             enumerate(net_payload[name])] for name in ("nodes", "edges"))
             dag = bn.Dag(tuple((n, _check_integer(c, f"bundle field {where}.net.nodes[{k}]"))
-                               for k, (n, c) in enumerate(net_payload["nodes"])),
-                         tuple((a, b) for a, b in net_payload["edges"]))
+                               for k, (n, c) in enumerate(nodes)), tuple(map(tuple, edges)))
             cpts = []
             for k, c in enumerate(net_payload["cpts"]):
                 at = f"{where}.net.cpts[{k}]"
@@ -667,21 +684,13 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
                                    tuple(dag.cardinality(p) for p in parents),
                                    _array(c["table"], float, 2, f"{at}.table"),
                                    _array(c["observed"], bool, 1, f"{at}.observed")))
-            gran = GranularityModel(grid, disc, bn.BayesNet(dag, tuple(cpts)))
-            _check_granularity(gran, kind, resolution, class_ids)
             if type(g.get("cell_size")) is not int or g["cell_size"] != grid.cell_size:
                 raise ValueError(f"bundle field {where}.cell_size must equal its grid's "
                                  f"cell_size {grid.cell_size}, not {g.get('cell_size')!r}")
-            if any(other.grid.cell_size == grid.cell_size for other in granularities):
-                raise ValueError(f"bundle field {where}: cell_size {grid.cell_size} repeats")
-            granularities.append(gran)
-        thresholds_payload = _section(payload["thresholds"], "thresholds")
-        thresholds = ConfidenceThresholds(thresholds_payload["person"],
-                                          thresholds_payload["other"])
-        for name in ("person", "other"):
-            _check_number(thresholds_payload[name], f"bundle field thresholds.{name}", 0, 1)
+            granularities.append(GranularityModel(grid, disc, bn.BayesNet(dag, tuple(cpts))))
+        cutoffs = _section(payload["thresholds"], "thresholds")
         return ModelBundle(kind, resolution, class_ids, tuple(granularities), fusion, sigma,
-                           box_mode, thresholds)
+                           box_mode, ConfidenceThresholds(cutoffs["person"], cutoffs["other"]))
     except KeyError as exc:
         raise ValueError(f"bundle is missing {exc.args[0]!r}") from None
     except TypeError as exc:

@@ -186,7 +186,7 @@ class TestExplainGranularity:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("granularity,sizes", [("finest", {40}), ("80", {80}),
-                                                   ("all", {40, 80})])
+                                                   ("all", {40, 80}), ("40", {40})])
     def test_only_the_chosen_granularities_are_broken_down(self, workspace, tmp_path,
                                                           monkeypatch, granularity, sizes):
         calls = []
@@ -348,6 +348,14 @@ class TestBundleValidation:
          "granularities[0].cell_size must equal its grid's cell_size 40, not 999"),
         (lambda b: b["granularities"][0].pop("cell_size"),
          "granularities[0].cell_size must equal its grid's cell_size 40, not None"),
+        (lambda b: b.update(granularities=[]), "granularities lists no granularity"),
+        (lambda b: b.update(granularities={}), "field granularities must be an array"),
+        (lambda b: b["resolution"].append(1), "field resolution must be an array of 2 items"),
+        (lambda b: b["granularities"][0]["net"]["nodes"][0].append(1),
+         "field granularities[0].net.nodes[0] must be an array of 2 items"),
+        (lambda b: b["granularities"][0]["net"]["edges"][0].append("C"),
+         "field granularities[0].net.edges[0] must be an array of 2 items"),
+        (_set_class_stat("extra", 1.0), "field granularities[0].discretizer.classes.1 must have"),
     ], ids=["class-ids-short", "class-ids-long", "class-ids-empty", "grid-resolution",
             "grid-cols", "grid-cell-size", "missing-grid", "missing-thresholds",
             "grid-not-object", "null-table", "undeclared-parent", "repeated-cell-size",
@@ -358,7 +366,9 @@ class TestBundleValidation:
             "threshold-nan", "threshold-above-one", "cpt-nan", "cell-size-fraction",
             "rows-text", "class-ids-text", "resolution-float", "class-key-fraction",
             "cardinality-fraction", "granularity-cell-size-other",
-            "granularity-cell-size-missing"])
+            "granularity-cell-size-missing", "granularities-empty", "granularities-object",
+            "resolution-three-items", "node-three-items", "edge-three-items",
+            "class-stats-extra-key"])
     def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
                                                 corrupt, field):
         bundle = json.loads((workspace / "model.bundle").read_text())

@@ -88,6 +88,18 @@ class TestFrameAuc:
         assert frame_auc(FrameScores(transformed, transformed), gt) == \
             pytest.approx(base, abs=1e-12)
 
+    def test_roc_auc_is_the_midpoint_rank_statistic(self):
+        """The trapezoids over tie groups give P(pos > neg) + P(pos = neg) / 2, here
+        counted exactly; the float sums may differ from it in the last digits."""
+        rng = np.random.default_rng(18)
+        for n in (2, 7, 60, 300):
+            signal = np.round(rng.random(n), 1)  # coarse values make ties
+            labels = rng.permutation(np.arange(n) < rng.integers(1, n))
+            pos, neg = signal[labels].tolist(), signal[~labels].tolist()
+            wins = sum(Fraction((p > q) * 2 + (p == q), 2) for p in pos for q in neg)
+            assert roc_auc(signal, labels) == pytest.approx(
+                float(wins / (len(pos) * len(neg))), abs=1e-12)
+
 
 class TestSweepScenarios:
     def scenario_a(self):

@@ -1,11 +1,13 @@
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridvad import bn, pipeline
-from gridvad.featurize import BOX_MODES, box_center, generate_observations
+from gridvad.featurize import BOX_MODES, DiscretizationModel, box_center, generate_observations
 from gridvad.ingest import (ConfidenceThresholds, TrackFileError, TrackSet, TrackedDetection,
                             filter_detections)
 from gridvad.pipeline import (
@@ -341,6 +343,38 @@ class TestBundleSerialization:
         thresholds = ConfidenceThresholds(0.41, 0.37)
         bundle = train(TrainConfig(cell_sizes=(40,)), mini_tracks(), thresholds)
         assert bundle.thresholds == thresholds
+
+
+def _with_class_stat(bundle, **stat):
+    """The bundle with ``stat`` set in its first class's statistics at every granularity."""
+    per_class = dict(bundle.granularities[0].discretizer.per_class)
+    first = min(per_class)
+    per_class[first] = replace(per_class[first], **stat)
+    disc = DiscretizationModel(per_class)
+    return dict(granularities=tuple(replace(g, discretizer=disc) for g in bundle.granularities))
+
+
+class TestEveryBundleIsChecked:
+    """A bundle built with ``dataclasses.replace`` passes the rule that trained and
+    loaded bundles pass."""
+
+    @pytest.mark.parametrize("change, field", [
+        (lambda b: dict(resolution=(1280, 720)), "resolution 1280x720"),
+        (lambda b: dict(fusion="median"), "fusion"),
+        (lambda b: dict(granularities=()), "granularities"),
+        (lambda b: dict(granularities=b.granularities[:1] * 2), "cell_size 40 repeats"),
+        (lambda b: dict(thresholds=ConfidenceThresholds(math.nan, 0.0)), "thresholds.person"),
+        (lambda b: dict(class_ids=()), "class_ids"),
+        (lambda b: dict(smoothing_sigma=-1.0), "smoothing_sigma"),
+        (lambda b: _with_class_stat(b, size_std=-1.0), "size_std"),
+        (lambda b: _with_class_stat(b, speed_mean=math.nan), "speed_mean"),
+    ], ids=["resolution", "fusion", "no-granularity", "repeated-granularity",
+            "threshold-nan", "no-class", "sigma-negative", "size-std-negative",
+            "speed-mean-nan"])
+    def test_replaced_bundle_is_refused_naming_the_field(self, reference_run, change, field):
+        bundle = reference_run["bundle"]
+        with pytest.raises(ValueError, match=re.escape(field)):
+            replace(bundle, **change(bundle))
 
 
 class TestScoresIo:

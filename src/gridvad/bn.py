@@ -140,8 +140,9 @@ def build_structure(kind: str, *, cell_count: int, class_count: int) -> Dag:
     The spatial graph has 5 nodes and 6 edges; the spatio-temporal one adds
     V and D plus edges C->V, G->V and C->D. Nodes come in ``NODE_ORDER``
     without F, which is never evidence, so P(G) is the marginal cell
-    frequency. A bundle loads only if each of its networks has exactly
-    these nodes, in order, and these edges.
+    frequency. Bundles do not store this layout, only CPT tables read
+    under it, so a change to its nodes or parents must bump
+    ``pipeline.BUNDLE_VERSION``.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -174,7 +175,8 @@ class Cpt:
             raise ValueError(f"CPT for {self.child} has shape {self.table.shape}, "
                              f"expected ({n_configs}, cardinality)")
         if self.observed.shape != (n_configs,):
-            raise ValueError("observed mask does not match parent configurations")
+            raise ValueError(f"observed mask of CPT for {self.child} has shape "
+                             f"{self.observed.shape}, expected ({n_configs},)")
         if not np.all(np.isfinite(self.table)):  # NaN passes both checks below
             raise ValueError(f"non-finite probability in CPT for {self.child}")
         if np.any(self.table < 0):

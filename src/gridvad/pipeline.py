@@ -1,8 +1,9 @@
 """Training and scoring orchestration.
 
-``train`` fits one network per grid granularity and wraps everything into
-a serializable :class:`ModelBundle`; its observation tables are the
-integer code columns of the featurizer. ``score_frames`` featurizes a
+``train`` fits one discretizer and one network per grid granularity and
+wraps them into a :class:`ModelBundle`, whose file (``save_bundle``)
+stores each fact once; its observation tables are the integer code
+columns of the featurizer. ``score_frames`` featurizes a
 test stream once into the same code columns, queries the bundle, fuses
 granularities, reduces objects to frame scores and smooths them over
 time. Within one stream each distinct (granularity, evidence) key is
@@ -59,7 +60,7 @@ from .ingest import (BOX, INTEGER, NUMBER, ColumnTable, ConfidenceThresholds, Tr
                      _read_chunks, _row_error, _sorted_repeats)
 
 BUNDLE_FORMAT = "gridvad-bundle"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2  # bump on any change to the layout bn.build_structure decides
 
 FUSION_MEAN = "mean"
 FUSION_MIN = "min"
@@ -112,20 +113,47 @@ def _check_integer(value, name: str, key: bool = False) -> int:
     raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def _items(value, where: str, length: int | None = None) -> list:
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise ValueError(f"bundle field {where} must be an array of {length or 'any'} items")
+    return value
+
+
+def _check_resolution(value) -> tuple[int, int]:
+    """The frame size as two integers >= 1, not bools; ValueError names ``resolution``."""
+    size = tuple(_check_integer(v, f"bundle field resolution[{k}]")
+                 for k, v in enumerate(_items(value, "resolution", 2)))
+    if min(size) < 1:
+        raise ValueError(f"bundle field resolution must be two integers >= 1, not {list(size)}")
+    return size
+
+
+def _check_discretizer(discretizer: DiscretizationModel) -> DiscretizationModel:
+    """Refuse a discretizer without classes or with a class statistic that is not a
+    finite number (standard deviations >= 0), naming it."""
+    if not discretizer.per_class:  # no network has a class variable without values
+        raise ValueError("discretizer lists no class")
+    for cid, stats in discretizer.per_class.items():
+        for name, value in asdict(stats).items():
+            _check_number(value, f"discretizer.per_class[{cid}].{name}",
+                          low=0 if name.endswith("_std") else -math.inf)
+    return discretizer
+
+
 @dataclass(frozen=True)
 class GranularityModel:
     grid: GridSpec
-    discretizer: DiscretizationModel
     net: bn.BayesNet
 
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Deployable artifact: per-granularity fitted networks plus shared settings."""
+    """Deployable artifact: one discretizer, per-granularity fitted networks and
+    shared settings."""
 
     kind: str
     resolution: tuple[int, int]
-    class_ids: tuple[int, ...]
+    discretizer: DiscretizationModel
     granularities: tuple[GranularityModel, ...]
     fusion: str = FUSION_MEAN
     smoothing_sigma: float = 5.0
@@ -134,21 +162,22 @@ class ModelBundle:
 
     def __post_init__(self):
         """One rule for every bundle, trained, loaded or replaced; ValueError names the field."""
+        _check_resolution(self.resolution)
         _check_settings(self.kind, self.box_mode, self.fusion, self.smoothing_sigma)
-        if not self.class_ids:  # no network has a class variable without values
-            raise ValueError("class_ids lists no class")
+        _check_discretizer(self.discretizer)
         if not self.granularities:
             raise ValueError("granularities lists no granularity")
         for k, gran in enumerate(self.granularities):
             if gran.grid.cell_size in self.cell_sizes[:k]:
                 raise ValueError(f"granularities[{k}]: cell_size {gran.grid.cell_size} repeats")
-            _check_granularity(gran, self.kind, self.resolution, self.class_ids)
-            for cid, stats in gran.discretizer.per_class.items():
-                for name, value in asdict(stats).items():
-                    _check_number(value, f"granularities[{k}].discretizer.per_class[{cid}].{name}",
-                                  low=0 if name.endswith("_std") else -math.inf)
+            _check_granularity(gran, self.kind, self.resolution, len(self.class_ids))
         for name, value in asdict(self.thresholds).items():
             _check_number(value, f"thresholds.{name}", 0, 1)
+
+    @property
+    def class_ids(self) -> tuple[int, ...]:
+        """The classes with training statistics, ascending: the values of C, in code order."""
+        return tuple(sorted(self.discretizer.per_class))
 
     @property
     def cell_sizes(self) -> tuple[int, ...]:
@@ -343,11 +372,11 @@ def train(config: TrainConfig, train_tracks: TrackSet,
         observations[str(cell_size)] = len(table.rows)
         if tables is not None:
             tables[cell_size] = table
-        granularities.append(GranularityModel(grid, discretizer, net))
+        granularities.append(GranularityModel(grid, net))
     if timings is not None:
         timings["fit_seconds"] = fit_seconds
         timings["observations"] = observations
-    return ModelBundle(config.kind, train_tracks.resolution, class_ids,
+    return ModelBundle(config.kind, train_tracks.resolution, discretizer,
                        tuple(granularities), config.fusion, config.smoothing_sigma,
                        config.box_mode, thresholds or ConfidenceThresholds())
 
@@ -366,7 +395,7 @@ def object_evidence(bundle: ModelBundle, gran: GranularityModel, class_id: int,
     """
     out = []
     for cell, labels in cell_labels(class_id, box, prev_center, frame_gap, gran.grid,
-                                    gran.discretizer, bundle.kind, bundle.box_mode):
+                                    bundle.discretizer, bundle.kind, bundle.box_mode):
         evidence = {rv: CODES[rv][label] for rv, label in labels.items()}
         evidence["G"] = cell - 1
         out.append((cell, evidence, {"C": class_id, **labels}))
@@ -454,7 +483,7 @@ def _cell_scores(gran: GranularityModel, bundle: ModelBundle, stream: StreamColu
     evidence codes of each cell pack into one int64 key; each distinct key
     is one ``class_cpt_query``, whose result every cell with that key shares.
     """
-    owner, rows = observation_codes(stream, gran.grid, gran.discretizer, bundle.kind,
+    owner, rows = observation_codes(stream, gran.grid, bundle.discretizer, bundle.kind,
                                     bundle.box_mode)
     keep = np.flatnonzero(class_index[owner] >= 0)
     owner = owner[keep]
@@ -540,69 +569,49 @@ def score_frames(bundle: ModelBundle, test: TrackSet,
 
 
 def bundle_to_dict(bundle: ModelBundle) -> dict:
-    grans = []
-    for g in bundle.granularities:
-        disc = g.discretizer
-        grans.append({
-            "cell_size": g.grid.cell_size,
-            "grid": {"cell_size": g.grid.cell_size, "cols": g.grid.cols,
-                     "rows": g.grid.rows, "resolution": list(g.grid.resolution)},
-            "discretizer": {
-                "square_tolerance": SQUARE_TOLERANCE,
-                "idle_speed": IDLE_SPEED,
-                "classes": {str(cid): asdict(disc.per_class[cid])
-                            for cid in sorted(disc.per_class)},
-            },
-            "net": {
-                "nodes": [[n, c] for n, c in g.net.dag.nodes],
-                "edges": [[a, b] for a, b in g.net.dag.edges],
-                "cpts": [{
-                    "child": cpt.child,
-                    "parents": list(cpt.parents),
-                    "table": cpt.table.tolist(),
-                    "observed": cpt.observed.tolist(),
-                } for cpt in g.net.cpts],
-            },
-        })
+    """The bundle as JSON (format 2), each fact of the model once.
+
+    Grids and network layouts are derived on load (``build_grid``,
+    ``bn.build_structure``), not stored. The discretizer is stored once; each
+    granularity keeps its ``cell_size`` and its CPTs' tables and observed
+    masks, keyed by child."""
     return {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
         "kind": bundle.kind,
         "resolution": list(bundle.resolution),
-        "class_ids": list(bundle.class_ids),
         "fusion": bundle.fusion,
         "smoothing_sigma": bundle.smoothing_sigma,
         "box_mode": bundle.box_mode,
         "thresholds": {"person": bundle.thresholds.person_threshold,
                        "other": bundle.thresholds.other_threshold},
-        "granularities": grans,
+        "discretizer": {
+            "square_tolerance": SQUARE_TOLERANCE,
+            "idle_speed": IDLE_SPEED,
+            "classes": {str(cid): asdict(bundle.discretizer.per_class[cid])
+                        for cid in bundle.class_ids},
+        },
+        "granularities": [{
+            "cell_size": g.grid.cell_size,
+            "cpts": {cpt.child: {"table": cpt.table.tolist(), "observed": cpt.observed.tolist()}
+                     for cpt in g.net.cpts},
+        } for g in bundle.granularities],
     }
 
 
 def _check_granularity(gran: GranularityModel, kind: str, resolution: tuple[int, int],
-                       class_ids: tuple[int, ...]) -> None:
-    """Reject a granularity whose grid, network or classes disagree with the bundle.
-
-    The network must have the nodes, in order, and the edges of the one
-    ``train`` fits: ``bn.build_structure`` for the bundle's kind, the
-    grid's cells and the bundle's classes.
-    """
+                       class_count: int) -> None:
+    """Reject a granularity whose grid or network is not the one ``train`` builds:
+    ``build_grid`` for the bundle's resolution and the cell size, and
+    ``bn.build_structure`` for the kind, the grid's cells and the classes."""
     grid, dag = gran.grid, gran.net.dag
     where = f"bundle granularity with cell_size {grid.cell_size}"
-    expected = build_grid(resolution, grid.cell_size)
-    for name in ("cols", "rows", "resolution"):
-        have, want = getattr(grid, name), getattr(expected, name)
-        if have != want:
-            raise ValueError(f"{where}: grid {name} is {have}, but this cell_size at "
-                             "resolution {}x{} gives {}".format(*resolution, want))
-    layout = bn.build_structure(kind, cell_count=grid.cell_count, class_count=len(class_ids))
-    if dag.nodes != layout.nodes or set(dag.edges) != set(layout.edges):
+    if grid != build_grid(resolution, grid.cell_size):
+        raise ValueError(f"{where}: grid {grid} is not the one this cell_size gives at "
+                         "resolution {}x{}".format(*resolution))
+    if dag != bn.build_structure(kind, cell_count=grid.cell_count, class_count=class_count):
         raise ValueError(f"{where}: the network is not the one train builds for kind "
-                         f"{kind!r}, {grid.cell_count} cells and class_ids {list(class_ids)}")
-    known = sorted(gran.discretizer.per_class)
-    if list(class_ids) != known:
-        raise ValueError(f"{where}: class_ids {list(class_ids)} do not match the "
-                         f"discretizer classes {known}")
+                         f"{kind!r}, {grid.cell_count} cells and {class_count} classes")
 
 
 def _section(value, where: str) -> dict:
@@ -621,75 +630,55 @@ def _array(value, dtype, ndim: int, where: str) -> np.ndarray:
     return array
 
 
-def _items(value, where: str, length: int | None = None) -> list:
-    if not isinstance(value, list) or length not in (None, len(value)):
-        raise ValueError(f"bundle field {where} must be an array of {length or 'any'} items")
-    return value
-
-
 def bundle_from_dict(payload: dict) -> ModelBundle:
-    """Read the JSON only (keys, types, lengths, constants, CPT parents, each
-    ``cell_size``); the :class:`ModelBundle` checks its own consistency."""
+    """Read the JSON only (keys, types, lengths, constants, one CPT per node),
+    deriving grids and network layouts; the :class:`ModelBundle` checks its
+    own consistency. Other versions are refused: their tables may fit this
+    layout's shapes yet belong to another layout."""
     if not isinstance(payload, dict) or payload.get("format") != BUNDLE_FORMAT:
         raise ValueError("not a gridvad model bundle")
     if payload.get("version") != BUNDLE_VERSION:
-        raise ValueError(f"unsupported bundle version {payload.get('version')}")
+        raise ValueError(f"unsupported bundle version {payload.get('version')!r}: this gridvad "
+                         f"reads version {BUNDLE_VERSION}; retrain the model with gridvad train")
     try:
         kind, box_mode, fusion, sigma = (payload[key] for key in (
             "kind", "box_mode", "fusion", "smoothing_sigma"))
-        resolution = tuple(_check_integer(v, f"bundle field resolution[{k}]")
-                           for k, v in enumerate(_items(payload["resolution"], "resolution", 2)))
-        class_ids = tuple(_check_integer(c, f"bundle field class_ids[{k}]")
-                          for k, c in enumerate(payload["class_ids"]))
+        resolution = _check_resolution(payload["resolution"])
+        disc_payload = _section(payload["discretizer"], "discretizer")
+        for name, constant in (("square_tolerance", SQUARE_TOLERANCE), ("idle_speed", IDLE_SPEED)):
+            if disc_payload[name] != constant:
+                raise ValueError(f"bundle field discretizer.{name} must be {constant}, "
+                                 f"not {disc_payload[name]!r}")
+        per_class, stat_names = {}, [f.name for f in fields(ClassStats)]
+        for cid, stats in _section(disc_payload["classes"], "discretizer.classes").items():
+            if _section(stats, f"discretizer.classes.{cid}").keys() != set(stat_names):
+                raise ValueError(f"bundle field discretizer.classes.{cid} must have the keys "
+                                 f"{', '.join(stat_names)}")
+            per_class[_check_integer(cid, "bundle field discretizer.classes key", key=True)] = \
+                ClassStats(**stats)
+        discretizer = _check_discretizer(DiscretizationModel(per_class))
         granularities = []
         for i, g in enumerate(_items(payload["granularities"], "granularities")):
             where = f"granularities[{i}]"
             g = _section(g, where)
-            grid_payload = _section(g["grid"], f"{where}.grid")
-            field_name = f"bundle field {where}.grid"
-            grid = GridSpec(*(_check_integer(grid_payload[name], f"{field_name}.{name}")
-                              for name in ("cell_size", "cols", "rows")),
-                            tuple(_check_integer(v, f"{field_name}.resolution[{k}]")
-                                  for k, v in enumerate(grid_payload["resolution"])))
-            at = f"{where}.discretizer"
-            disc_payload = _section(g["discretizer"], at)
-            for name, constant in (("square_tolerance", SQUARE_TOLERANCE),
-                                   ("idle_speed", IDLE_SPEED)):
-                if disc_payload[name] != constant:
-                    raise ValueError(f"bundle field {at}.{name} must be {constant}, "
-                                     f"not {disc_payload[name]!r}")
-            per_class, stat_names = {}, [f.name for f in fields(ClassStats)]
-            for cid, stats in _section(disc_payload["classes"], f"{at}.classes").items():
-                if _section(stats, f"{at}.classes.{cid}").keys() != set(stat_names):
-                    raise ValueError(f"bundle field {at}.classes.{cid} must have the keys "
-                                     f"{', '.join(stat_names)}")
-                per_class[_check_integer(cid, f"bundle field {at}.classes key", key=True)] = \
-                    ClassStats(**stats)
-            disc = DiscretizationModel(per_class)
-            net_payload = _section(g["net"], f"{where}.net")
-            nodes, edges = ([_items(v, f"{where}.net.{name}[{k}]", 2) for k, v in
-                             enumerate(net_payload[name])] for name in ("nodes", "edges"))
-            dag = bn.Dag(tuple((n, _check_integer(c, f"bundle field {where}.net.nodes[{k}]"))
-                               for k, (n, c) in enumerate(nodes)), tuple(map(tuple, edges)))
+            grid = build_grid(resolution, _check_integer(g["cell_size"],
+                                                         f"bundle field {where}.cell_size"))
+            dag = bn.build_structure(kind, cell_count=grid.cell_count, class_count=len(per_class))
+            tables = _section(g["cpts"], f"{where}.cpts")
+            if tables.keys() != set(dag.names):
+                raise ValueError(f"bundle field {where}.cpts must hold one CPT for each of "
+                                 f"{', '.join(dag.names)} (kind {kind!r}), not {', '.join(tables)}")
             cpts = []
-            for k, c in enumerate(net_payload["cpts"]):
-                at = f"{where}.net.cpts[{k}]"
-                c = _section(c, at)
-                parents = tuple(c["parents"])
-                for parent in parents:
-                    if parent not in dag.names:
-                        raise ValueError(f"bundle field {at}: the CPT for {c['child']!r} "
-                                         f"names undeclared parent {parent!r}")
-                cpts.append(bn.Cpt(c["child"], parents,
-                                   tuple(dag.cardinality(p) for p in parents),
+            for child in dag.names:
+                at = f"{where}.cpts.{child}"
+                c = _section(tables[child], at)
+                parents = dag.parents(child)
+                cpts.append(bn.Cpt(child, parents, tuple(map(dag.cardinality, parents)),
                                    _array(c["table"], float, 2, f"{at}.table"),
                                    _array(c["observed"], bool, 1, f"{at}.observed")))
-            if type(g.get("cell_size")) is not int or g["cell_size"] != grid.cell_size:
-                raise ValueError(f"bundle field {where}.cell_size must equal its grid's "
-                                 f"cell_size {grid.cell_size}, not {g.get('cell_size')!r}")
-            granularities.append(GranularityModel(grid, disc, bn.BayesNet(dag, tuple(cpts))))
+            granularities.append(GranularityModel(grid, bn.BayesNet(dag, tuple(cpts))))
         cutoffs = _section(payload["thresholds"], "thresholds")
-        return ModelBundle(kind, resolution, class_ids, tuple(granularities), fusion, sigma,
+        return ModelBundle(kind, resolution, discretizer, tuple(granularities), fusion, sigma,
                            box_mode, ConfidenceThresholds(cutoffs["person"], cutoffs["other"]))
     except KeyError as exc:
         raise ValueError(f"bundle is missing {exc.args[0]!r}") from None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cpts, random_net, random_query
-from gridvad import bn
+from gridvad import bn, pipeline
 
 # evidence codes that int() would truncate or parse into an in-range code
 NOT_INTEGERS = (1.0, 0.5, True, np.bool_(True), "1", np.float64(1.0))
@@ -52,11 +52,20 @@ class TestBuildStructure:
         assert dag.cardinality("V") == 7
         assert dag.cardinality("D") == 9  # eight compass points plus "none"
 
+    # Bundles store CPT tables keyed by child without the layout, whose nodes and
+    # parents (the order of each CPT's rows) come from build_structure. A change
+    # to anything pinned here must bump pipeline.BUNDLE_VERSION, or older
+    # tables whose shapes still fit would be read under the wrong layout.
     def test_documented_edges(self):
-        dag = bn.build_structure("spatiotemporal", cell_count=2, class_count=2)
-        assert set(dag.edges) == {("G", "BS"), ("G", "I"), ("C", "BS"),
-                                  ("C", "BAR"), ("BS", "I"), ("BAR", "I"),
-                                  ("C", "V"), ("G", "V"), ("C", "D")}
+        spatial = {"G": (), "C": (), "I": ("G", "BS", "BAR"), "BS": ("G", "C"), "BAR": ("C",)}
+        for kind, parents in (("spatial", spatial),
+                              ("spatiotemporal", {**spatial, "V": ("G", "C"), "D": ("C",)})):
+            dag = bn.build_structure(kind, cell_count=2, class_count=3)
+            cards = {"G": 2, "C": 3, **bn.FIXED_CARDINALITIES}
+            assert dag.nodes == tuple((n, cards[n]) for n in parents)
+            assert {n: dag.parents(n) for n in dag.names} == parents
+            assert set(dag.edges) == {(p, n) for n, ps in parents.items() for p in ps}
+        assert pipeline.BUNDLE_VERSION == 2
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -107,7 +107,7 @@ class TestPipelineComposition:
                                 3)
         for gran in bundle.granularities:
             expected = io.StringIO(newline="")
-            generate_observations(prepared, gran.grid, gran.discretizer, bundle.kind,
+            generate_observations(prepared, gran.grid, bundle.discretizer, bundle.kind,
                                   bundle.box_mode).write_csv(expected)
             dump = Path(f"{tmp_path / 'obs'}.{gran.grid.cell_size}.csv")
             assert dump.read_bytes() == expected.getvalue().encode()
@@ -239,21 +239,21 @@ class TestResolutionCheck:
         assert not (tmp_path / "out.json").exists()
 
 
-def _set_grid(field, value):
+def _set_cell_size(value):
     def corrupt(bundle):
-        bundle["granularities"][0]["grid"][field] = value
+        bundle["granularities"][0]["cell_size"] = value
     return corrupt
 
 
 def _set_discretizer(field, value):
     def corrupt(bundle):
-        bundle["granularities"][0]["discretizer"][field] = value
+        bundle["discretizer"][field] = value
     return corrupt
 
 
 def _set_class_stat(field, value):
     def corrupt(bundle):
-        classes = bundle["granularities"][0]["discretizer"]["classes"]
+        classes = bundle["discretizer"]["classes"]
         classes[min(classes)][field] = value
     return corrupt
 
@@ -264,58 +264,54 @@ def _set_threshold(group, value):
     return corrupt
 
 
-def _class_cpt(bundle):
-    return next(c for c in bundle["granularities"][0]["net"]["cpts"] if c["child"] == "C")
+def _cpts(bundle):
+    return bundle["granularities"][0]["cpts"]
 
 
-def _drop_grid_to_velocity(bundle):
-    """Drop the G->V edge and make V's CPT consistent with it: a valid network, but
-    not the one train builds."""
-    net = bundle["granularities"][0]["net"]
-    net["edges"].remove(["G", "V"])
-    classes = len(bundle["class_ids"])
-    velocity = next(c for c in net["cpts"] if c["child"] == "V")
-    assert velocity["parents"] == ["G", "C"]
-    # the rows of cell 0, one per class: P(V | C) as P(V | G = 0, C)
-    velocity.update(parents=["C"], table=velocity["table"][:classes],
-                    observed=velocity["observed"][:classes])
+def _drop_class(bundle):
+    classes = bundle["discretizer"]["classes"]
+    classes.pop(max(classes))
 
 
-def _as_text(field):
+def _add_class(bundle):
+    classes = bundle["discretizer"]["classes"]
+    classes[str(max(map(int, classes)) + 1)] = classes[min(classes)]
+
+
+def _rename_class(key):
     def corrupt(bundle):
-        grid = bundle["granularities"][0]["grid"]
-        grid[field] = str(grid[field])
+        classes = bundle["discretizer"]["classes"]
+        classes[key] = classes.pop(min(classes))
     return corrupt
 
 
-def _fractional_class_key(bundle):
-    classes = bundle["granularities"][0]["discretizer"]["classes"]
-    key = min(classes)
-    classes[key + ".0"] = classes.pop(key)
+def _drop_grid_to_velocity(bundle):
+    """Store P(V | C), the table of a network without the G->V edge, as V's CPT."""
+    classes = len(bundle["discretizer"]["classes"])
+    velocity = _cpts(bundle)["V"]
+    # the rows of cell 0, one per class: P(V | C) as P(V | G = 0, C)
+    velocity.update(table=velocity["table"][:classes], observed=velocity["observed"][:classes])
 
 
 def _nan_cell_probability(bundle):
     # P(G) of the first cell: no test object of the reference scene lies there
-    cpt = bundle["granularities"][0]["net"]["cpts"][0]
-    assert cpt["child"] == "G"
-    cpt["table"][0][0] = float("nan")
+    _cpts(bundle)["G"]["table"][0][0] = float("nan")
 
 
 class TestBundleValidation:
     @pytest.mark.parametrize("corrupt,field", [
-        (lambda b: b["class_ids"].pop(), "class_ids"),
-        (lambda b: b["class_ids"].append(max(b["class_ids"]) + 1), "class_ids"),
-        (lambda b: b["class_ids"].clear(), "class_ids"),
-        (_set_grid("resolution", [1280, 720]), "resolution"),
-        (_set_grid("cols", 17), "cols"),
-        (_set_grid("cell_size", 39), "cell_size 39"),
-        (lambda b: b["granularities"][0].pop("grid"), "'grid'"),
+        (_drop_class, "CPT for BS has shape"),
+        (_add_class, "CPT for BS has shape"),
+        (lambda b: b["discretizer"]["classes"].clear(), "discretizer lists no class"),
+        (lambda b: b.update(resolution=[1280, 720]), "CPT for I has shape"),
+        (_set_cell_size(39), "CPT for I has shape"),
+        (lambda b: b["granularities"][0].pop("cpts"), "'cpts'"),
         (lambda b: b.pop("thresholds"), "'thresholds'"),
-        (lambda b: b["granularities"][0].update(grid=[]), "granularities[0].grid"),
-        (lambda b: b["granularities"][0]["net"]["cpts"][0].update(table=None),
-         "granularities[0].net.cpts[0].table"),
-        (lambda b: _class_cpt(b)["parents"].append("Q"),
-         "CPT for 'C' names undeclared parent 'Q'"),
+        (lambda b: b["granularities"][0].update(cpts=[]),
+         "granularities[0].cpts must be an object"),
+        (lambda b: _cpts(b)["G"].update(table=None), "granularities[0].cpts.G.table"),
+        (lambda b: _cpts(b).update(Q=_cpts(b)["C"]), "granularities[0].cpts must hold one CPT"),
+        (lambda b: _cpts(b).pop("D"), "granularities[0].cpts must hold one CPT"),
         (lambda b: b["granularities"].append(b["granularities"][0]), "cell_size 40 repeats"),
         (lambda b: b.update(box_mode="Bottom"), "box_mode"),
         (lambda b: b.update(fusion="median"), "fusion"),
@@ -325,7 +321,8 @@ class TestBundleValidation:
         (lambda b: b.update(smoothing_sigma=-3.0), "smoothing_sigma"),
         (lambda b: b.update(smoothing_sigma=float("nan")), "smoothing_sigma"),
         (lambda b: b.update(smoothing_sigma=True), "smoothing_sigma"),
-        (_drop_grid_to_velocity, "not the one train builds for kind 'spatiotemporal'"),
+        (_drop_grid_to_velocity, "CPT for V has shape"),
+        (lambda b: b.update(discretizer=[]), "field discretizer must be an object"),
         (_set_discretizer("square_tolerance", 0.2), "discretizer.square_tolerance"),
         (_set_discretizer("square_tolerance", -1), "discretizer.square_tolerance"),
         (_set_discretizer("idle_speed", float("nan")), "discretizer.idle_speed"),
@@ -337,38 +334,35 @@ class TestBundleValidation:
         (_set_threshold("person", float("nan")), "thresholds.person"),
         (_set_threshold("other", 1.5), "thresholds.other"),
         (_nan_cell_probability, "non-finite probability in CPT for G"),
-        (_set_grid("cell_size", 40.7), "granularities[0].grid.cell_size"),
-        (_as_text("rows"), "granularities[0].grid.rows"),
-        (lambda b: b.update(class_ids=[str(c) for c in b["class_ids"]]), "class_ids[0]"),
+        (_set_cell_size(40.7), "granularities[0].cell_size must be an integer"),
+        (_set_cell_size(True), "granularities[0].cell_size must be an integer"),
+        (_set_cell_size("40"), "granularities[0].cell_size must be an integer"),
+        (_set_cell_size(0), "cell size 0 must be >= 1"),
+        (_rename_class("person"), "discretizer.classes key must be an integer, not 'person'"),
         (lambda b: b.update(resolution=[float(v) for v in b["resolution"]]), "resolution[0]"),
-        (_fractional_class_key, "discretizer.classes key"),
-        (lambda b: b["granularities"][0]["net"]["nodes"][0].__setitem__(1, 144.5),
-         "granularities[0].net.nodes[0]"),
-        (lambda b: b["granularities"][0].update(cell_size=999),
-         "granularities[0].cell_size must equal its grid's cell_size 40, not 999"),
-        (lambda b: b["granularities"][0].pop("cell_size"),
-         "granularities[0].cell_size must equal its grid's cell_size 40, not None"),
+        (_rename_class("1.0"), "discretizer.classes key"),
+        (_set_cell_size(999), "cell size 999 exceeds the frame (640x360)"),
+        (lambda b: b["granularities"][0].pop("cell_size"), "'cell_size'"),
         (lambda b: b.update(granularities=[]), "granularities lists no granularity"),
         (lambda b: b.update(granularities={}), "field granularities must be an array"),
         (lambda b: b["resolution"].append(1), "field resolution must be an array of 2 items"),
-        (lambda b: b["granularities"][0]["net"]["nodes"][0].append(1),
-         "field granularities[0].net.nodes[0] must be an array of 2 items"),
-        (lambda b: b["granularities"][0]["net"]["edges"][0].append("C"),
-         "field granularities[0].net.edges[0] must be an array of 2 items"),
-        (_set_class_stat("extra", 1.0), "field granularities[0].discretizer.classes.1 must have"),
+        (_set_class_stat("extra", 1.0), "field discretizer.classes.1 must have"),
+        (lambda b: b.update(version=1), "unsupported bundle version 1: this gridvad reads "
+                                        "version 2; retrain the model"),
+        (lambda b: _cpts(b)["BS"]["observed"].pop(), "observed mask of CPT for BS has shape"),
     ], ids=["class-ids-short", "class-ids-long", "class-ids-empty", "grid-resolution",
-            "grid-cols", "grid-cell-size", "missing-grid", "missing-thresholds",
-            "grid-not-object", "null-table", "undeclared-parent", "repeated-cell-size",
+            "grid-cell-size", "missing-cpts", "missing-thresholds", "cpts-not-object",
+            "null-table", "cpts-extra-node", "cpts-missing-node", "repeated-cell-size",
             "box-mode-case", "unknown-fusion", "unknown-kind", "kind-without-motion-nodes",
             "sigma-text", "sigma-negative", "sigma-nan", "sigma-bool", "edge-dropped",
-            "tolerance-other", "tolerance-negative", "idle-speed-nan", "size-std-text",
-            "size-std-negative", "speed-mean-bool", "speed-mean-inf", "threshold-null",
-            "threshold-nan", "threshold-above-one", "cpt-nan", "cell-size-fraction",
-            "rows-text", "class-ids-text", "resolution-float", "class-key-fraction",
-            "cardinality-fraction", "granularity-cell-size-other",
-            "granularity-cell-size-missing", "granularities-empty", "granularities-object",
-            "resolution-three-items", "node-three-items", "edge-three-items",
-            "class-stats-extra-key"])
+            "discretizer-not-object", "tolerance-other", "tolerance-negative",
+            "idle-speed-nan", "size-std-text", "size-std-negative", "speed-mean-bool",
+            "speed-mean-inf", "threshold-null", "threshold-nan", "threshold-above-one",
+            "cpt-nan", "cell-size-fraction", "cell-size-bool", "cell-size-text",
+            "cell-size-zero", "class-ids-text", "resolution-float", "class-key-fraction",
+            "granularity-cell-size-other", "granularity-cell-size-missing",
+            "granularities-empty", "granularities-object", "resolution-three-items",
+            "class-stats-extra-key", "version-1", "observed-short"])
     def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
                                                 corrupt, field):
         bundle = json.loads((workspace / "model.bundle").read_text())
@@ -380,17 +374,6 @@ class TestBundleValidation:
                        "--tracks", workspace / "data" / "test_tracks.jsonl") == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
-
-    def test_edges_in_another_order_load(self, workspace, tmp_path):
-        bundle = json.loads((workspace / "model.bundle").read_text())
-        for gran in bundle["granularities"]:
-            gran["net"]["edges"].reverse()
-        reordered = tmp_path / "reordered.bundle"
-        reordered.write_text(json.dumps(bundle))
-        out = tmp_path / "scores.jsonl"
-        assert run_cli("score", "--model", reordered, "--out", out,
-                       "--tracks", workspace / "data" / "test_tracks.jsonl") == 0
-        assert out.read_bytes() == (workspace / "scores.jsonl").read_bytes()
 
 
 class TestConfigFile:

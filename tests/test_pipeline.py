@@ -75,6 +75,10 @@ class TestTrain:
 
     def test_class_ids_recorded(self, mini_bundle):
         assert mini_bundle.class_ids == (1, 3)
+        # the codes of C follow the ascending ids, whatever the discretizer's key order
+        per_class = mini_bundle.discretizer.per_class
+        reordered = DiscretizationModel({cid: per_class[cid] for cid in (3, 1)})
+        assert replace(mini_bundle, discretizer=reordered).class_ids == (1, 3)
 
     def test_timings_hook(self):
         timings = {}
@@ -258,7 +262,7 @@ class TestObjectEvidence:
             d for d in test.detections if d.class_id in bundle.class_ids))
         for gran in bundle.granularities:
             expected = observation_columns(
-                generate_observations(test, gran.grid, gran.discretizer,
+                generate_observations(test, gran.grid, bundle.discretizer,
                                       bundle.kind, box_mode), bundle.class_ids)
             rows = []
             last = {}
@@ -318,10 +322,10 @@ class TestBundleSerialization:
         loaded = load_bundle(path)
         assert loaded.kind == mini_bundle.kind
         assert loaded.class_ids == mini_bundle.class_ids
+        assert loaded.discretizer == mini_bundle.discretizer
         assert loaded.thresholds == mini_bundle.thresholds
         for a, b in zip(mini_bundle.granularities, loaded.granularities):
             assert a.grid == b.grid
-            assert a.discretizer == b.discretizer
             assert a.net.dag == b.net.dag
             for ca, cb in zip(a.net.cpts, b.net.cpts):
                 assert np.array_equal(ca.table, cb.table)
@@ -332,6 +336,18 @@ class TestBundleSerialization:
         save_bundle(mini_bundle, p1)
         save_bundle(load_bundle(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_stores_each_fact_once(self, mini_bundle):
+        # grids, network layouts and class ids are derived on load, not stored
+        payload = bundle_to_dict(mini_bundle)
+        assert list(payload) == ["format", "version", "kind", "resolution", "fusion",
+                                 "smoothing_sigma", "box_mode", "thresholds", "discretizer",
+                                 "granularities"]
+        assert list(payload["discretizer"]) == ["square_tolerance", "idle_speed", "classes"]
+        for gran, stored in zip(mini_bundle.granularities, payload["granularities"], strict=True):
+            assert list(stored) == ["cell_size", "cpts"]
+            assert list(stored["cpts"]) == list(gran.net.dag.names)
+            assert all(list(cpt) == ["table", "observed"] for cpt in stored["cpts"].values())
 
     def test_rejects_foreign_payload(self, tmp_path):
         path = tmp_path / "bad.bundle"
@@ -346,12 +362,11 @@ class TestBundleSerialization:
 
 
 def _with_class_stat(bundle, **stat):
-    """The bundle with ``stat`` set in its first class's statistics at every granularity."""
-    per_class = dict(bundle.granularities[0].discretizer.per_class)
+    """The bundle with ``stat`` set in its first class's statistics."""
+    per_class = dict(bundle.discretizer.per_class)
     first = min(per_class)
     per_class[first] = replace(per_class[first], **stat)
-    disc = DiscretizationModel(per_class)
-    return dict(granularities=tuple(replace(g, discretizer=disc) for g in bundle.granularities))
+    return dict(discretizer=DiscretizationModel(per_class))
 
 
 class TestEveryBundleIsChecked:
@@ -360,15 +375,20 @@ class TestEveryBundleIsChecked:
 
     @pytest.mark.parametrize("change, field", [
         (lambda b: dict(resolution=(1280, 720)), "resolution 1280x720"),
+        (lambda b: dict(resolution=(640, 360, 1)), "field resolution must be an array of 2"),
+        (lambda b: dict(resolution=(True, 360)), "resolution[0] must be an integer, not True"),
+        (lambda b: dict(resolution=(640.5, 360)), "resolution[0] must be an integer, not 640.5"),
+        (lambda b: dict(resolution=(640, 0)), "resolution must be two integers >= 1"),
         (lambda b: dict(fusion="median"), "fusion"),
         (lambda b: dict(granularities=()), "granularities"),
         (lambda b: dict(granularities=b.granularities[:1] * 2), "cell_size 40 repeats"),
         (lambda b: dict(thresholds=ConfidenceThresholds(math.nan, 0.0)), "thresholds.person"),
-        (lambda b: dict(class_ids=()), "class_ids"),
+        (lambda b: dict(discretizer=DiscretizationModel({})), "discretizer lists no class"),
         (lambda b: dict(smoothing_sigma=-1.0), "smoothing_sigma"),
         (lambda b: _with_class_stat(b, size_std=-1.0), "size_std"),
         (lambda b: _with_class_stat(b, speed_mean=math.nan), "speed_mean"),
-    ], ids=["resolution", "fusion", "no-granularity", "repeated-granularity",
+    ], ids=["resolution", "resolution-three-items", "resolution-bool", "resolution-fraction",
+            "resolution-zero", "fusion", "no-granularity", "repeated-granularity",
             "threshold-nan", "no-class", "sigma-negative", "size-std-negative",
             "speed-mean-nan"])
     def test_replaced_bundle_is_refused_naming_the_field(self, reference_run, change, field):

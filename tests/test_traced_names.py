@@ -24,6 +24,7 @@ CALLED = {
     cli: ("main",),
     featurize: ("box_center", "build_grid", "bottom_edge_cells"),
     ingest: ("write_tracks", "write_ground_truth"),
+    ingest.ConfidenceThresholds: ("for_class",),
     synth: ("generate_scene", "reference_script"),
 }
 

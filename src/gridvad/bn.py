@@ -160,7 +160,9 @@ class Cpt:
 
     Parent configurations are mixed-radix row indices with the last parent
     varying fastest. ``observed`` marks rows backed by training counts;
-    unobserved rows hold the uniform distribution.
+    every unobserved row holds exactly the uniform distribution, 1/cardinality
+    in each value, so a bundle file stores the observed rows only and loses
+    nothing.
     """
 
     child: str
@@ -174,15 +176,19 @@ class Cpt:
         if self.table.shape[0] != n_configs or self.table.ndim != 2:
             raise ValueError(f"CPT for {self.child} has shape {self.table.shape}, "
                              f"expected ({n_configs}, cardinality)")
-        if self.observed.shape != (n_configs,):
+        if self.observed.shape != (n_configs,) or self.observed.dtype != bool:
             raise ValueError(f"observed mask of CPT for {self.child} has shape "
-                             f"{self.observed.shape}, expected ({n_configs},)")
+                             f"{self.observed.shape} and dtype {self.observed.dtype}, "
+                             f"expected ({n_configs},) and bool")
         if not np.all(np.isfinite(self.table)):  # NaN passes both checks below
             raise ValueError(f"non-finite probability in CPT for {self.child}")
         if np.any(self.table < 0):
             raise ValueError(f"negative probability in CPT for {self.child}")
         if np.any(np.abs(self.table.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise ValueError(f"CPT rows for {self.child} do not sum to 1")
+        if np.any(self.table[~self.observed] != 1.0 / self.table.shape[1]):
+            raise ValueError(f"an unobserved row of the CPT for {self.child} is not "
+                             f"uniform (1/{self.table.shape[1]} in each value)")
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 ``train`` fits one discretizer and one network per grid granularity and
 wraps them into a :class:`ModelBundle`, whose file (``save_bundle``)
-stores each fact once; its observation tables are the integer code
-columns of the featurizer. ``score_frames`` featurizes a
-test stream once into the same code columns, queries the bundle, fuses
-granularities, reduces objects to frame scores and smooths them over
-time. Within one stream each distinct (granularity, evidence) key is
+stores each fact once and, of each CPT, only the rows training observed;
+its observation tables are the integer code columns of the featurizer.
+``score_frames`` featurizes a test stream once into the same code
+columns, queries the bundle, fuses granularities, reduces objects to
+frame scores and smooths them over time. Within one stream each distinct (granularity, evidence) key is
 queried once and its exact class posterior is shared by every cell with
 that key. Its scores stay columns, a :class:`ScoreTable`, from the
 posteriors to ``write_scores``, which formats ``scores.jsonl`` from them;
@@ -60,7 +60,7 @@ from .ingest import (BOX, INTEGER, NUMBER, ColumnTable, ConfidenceThresholds, Tr
                      _read_chunks, _row_error, _sorted_repeats)
 
 BUNDLE_FORMAT = "gridvad-bundle"
-BUNDLE_VERSION = 2  # bump on any change to the layout bn.build_structure decides
+BUNDLE_VERSION = 3  # bump on any change to the layout bn.build_structure decides
 
 FUSION_MEAN = "mean"
 FUSION_MIN = "min"
@@ -115,7 +115,8 @@ def _check_integer(value, name: str, key: bool = False) -> int:
 
 def _items(value, where: str, length: int | None = None) -> list:
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        raise ValueError(f"bundle field {where} must be an array of {length or 'any'} items")
+        count = "any" if length is None else length
+        raise ValueError(f"bundle field {where} must be an array of {count} items")
     return value
 
 
@@ -348,8 +349,9 @@ def train(config: TrainConfig, train_tracks: TrackSet,
     ``train_tracks`` must already be confidence-filtered and frame-sliced;
     the thresholds used for filtering ride along in the bundle so scoring
     can apply the identical cut-offs to test streams. Passing a dict as
-    ``timings`` records per-granularity fit seconds and observation counts;
-    passing one as ``tables`` collects each cell size's ObservationTable.
+    ``timings`` records per-granularity fit seconds, observation counts and,
+    per CPT, ``[observed rows, rows]`` (the rows the bundle file stores, of
+    all); passing one as ``tables`` collects each cell size's ObservationTable.
     """
     if not train_tracks.detections:
         raise bn.FitError("cannot train on an empty track set")
@@ -359,6 +361,7 @@ def train(config: TrainConfig, train_tracks: TrackSet,
     class_ids = tuple(sorted(discretizer.per_class))
     fit_seconds: dict[str, float] = {}
     observations: dict[str, int] = {}
+    observed_rows: dict[str, dict[str, list[int]]] = {}
     granularities = []
     for cell_size in sorted(set(config.cell_sizes)):
         grid = build_grid(train_tracks.resolution, cell_size)
@@ -370,12 +373,15 @@ def train(config: TrainConfig, train_tracks: TrackSet,
         net = bn.fit_mle(dag, observation_columns(table, class_ids))
         fit_seconds[str(cell_size)] = time.perf_counter() - started
         observations[str(cell_size)] = len(table.rows)
+        observed_rows[str(cell_size)] = {cpt.child: [int(cpt.observed.sum()), len(cpt.observed)]
+                                         for cpt in net.cpts}
         if tables is not None:
             tables[cell_size] = table
         granularities.append(GranularityModel(grid, net))
     if timings is not None:
         timings["fit_seconds"] = fit_seconds
         timings["observations"] = observations
+        timings["observed_rows"] = observed_rows
     return ModelBundle(config.kind, train_tracks.resolution, discretizer,
                        tuple(granularities), config.fusion, config.smoothing_sigma,
                        config.box_mode, thresholds or ConfidenceThresholds())
@@ -569,12 +575,14 @@ def score_frames(bundle: ModelBundle, test: TrackSet,
 
 
 def bundle_to_dict(bundle: ModelBundle) -> dict:
-    """The bundle as JSON (format 2), each fact of the model once.
+    """The bundle as JSON (format 3), each fact of the model once.
 
     Grids and network layouts are derived on load (``build_grid``,
     ``bn.build_structure``), not stored. The discretizer is stored once; each
-    granularity keeps its ``cell_size`` and its CPTs' tables and observed
-    masks, keyed by child."""
+    granularity keeps its ``cell_size`` and its CPTs keyed by child. A CPT
+    stores ``observed``, the ascending indices of its observed rows, and
+    ``table``, those rows only: every other row is uniform (``bn.Cpt``), so
+    it is implied."""
     return {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
@@ -593,7 +601,8 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
         },
         "granularities": [{
             "cell_size": g.grid.cell_size,
-            "cpts": {cpt.child: {"table": cpt.table.tolist(), "observed": cpt.observed.tolist()}
+            "cpts": {cpt.child: {"observed": np.flatnonzero(cpt.observed).tolist(),
+                                 "table": cpt.table[cpt.observed].tolist()}
                      for cpt in g.net.cpts},
         } for g in bundle.granularities],
     }
@@ -614,9 +623,19 @@ def _check_granularity(gran: GranularityModel, kind: str, resolution: tuple[int,
                          f"{kind!r}, {grid.cell_count} cells and {class_count} classes")
 
 
-def _section(value, where: str) -> dict:
+def _section(value, where: str, keys: Sequence[str] | None = None) -> dict:
+    """``value`` if it is a JSON object holding exactly ``keys`` (any keys if None);
+    ValueError names the section and the missing or unknown field."""
     if not isinstance(value, dict):
         raise ValueError(f"bundle field {where} must be an object, not {type(value).__name__}")
+    if keys is not None and value.keys() != set(keys):
+        missing = [key for key in keys if key not in value]
+        if missing:
+            raise ValueError(f"bundle is missing {missing[0]!r}"
+                             + (f" in {where}" if where else ""))
+        unknown = next(key for key in value if key not in keys)
+        raise ValueError(f"unknown bundle field {where + '.' if where else ''}{unknown}; "
+                         f"{where or 'the bundle'} holds only {', '.join(keys)}")
     return value
 
 
@@ -630,37 +649,65 @@ def _array(value, dtype, ndim: int, where: str) -> np.ndarray:
     return array
 
 
+def _cpt(payload: dict, at: str, child: str, dag: bn.Dag) -> bn.Cpt:
+    """The dense CPT of ``child``: a uniform table with the stored observed rows put
+    back at their indices. ValueError names the field of an index that is not a
+    JSON integer, of indices out of order or range, and of a ``table`` whose rows
+    do not match them in number or in width (the child's cardinality)."""
+    c = _section(payload, at, ("observed", "table"))
+    parents = dag.parents(child)
+    parent_cards = tuple(map(dag.cardinality, parents))
+    rows, card = math.prod(parent_cards), dag.cardinality(child)
+    index = [_check_integer(v, f"bundle field {at}.observed[{k}]")
+             for k, v in enumerate(_items(c["observed"], f"{at}.observed"))]
+    if index and (index[0] < 0 or index[-1] >= rows
+                  or any(a >= b for a, b in zip(index, index[1:]))):
+        raise ValueError(f"bundle field {at}.observed must list row indices in [0, {rows}) "
+                         "in ascending order, each once")
+    table, observed = np.full((rows, card), 1.0 / card), np.zeros(rows, dtype=bool)
+    stored = _items(c["table"], f"{at}.table", len(index))
+    if index:
+        stored = _array(stored, float, 2, f"{at}.table")
+        if stored.shape[1] != card:
+            raise ValueError(f"bundle field {at}.table must hold rows of length {card} "
+                             f"(the cardinality of {child}), not {stored.shape[1]}")
+        table[index], observed[index] = stored, True
+    return bn.Cpt(child, parents, parent_cards, table, observed)
+
+
 def bundle_from_dict(payload: dict) -> ModelBundle:
-    """Read the JSON only (keys, types, lengths, constants, one CPT per node),
-    deriving grids and network layouts; the :class:`ModelBundle` checks its
-    own consistency. Other versions are refused: their tables may fit this
-    layout's shapes yet belong to another layout."""
+    """Read the JSON only (keys, types, lengths, constants, one CPT per node,
+    each CPT's observed rows), deriving grids, network layouts and the dense
+    tables; the :class:`ModelBundle` checks its own consistency. Other
+    versions are refused: their tables may fit this layout's shapes yet
+    belong to another layout."""
     if not isinstance(payload, dict) or payload.get("format") != BUNDLE_FORMAT:
         raise ValueError("not a gridvad model bundle")
     if payload.get("version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {payload.get('version')!r}: this gridvad "
                          f"reads version {BUNDLE_VERSION}; retrain the model with gridvad train")
+    _section(payload, "", ("format", "version", "kind", "resolution", "fusion",
+                           "smoothing_sigma", "box_mode", "thresholds", "discretizer",
+                           "granularities"))
     try:
         kind, box_mode, fusion, sigma = (payload[key] for key in (
             "kind", "box_mode", "fusion", "smoothing_sigma"))
         resolution = _check_resolution(payload["resolution"])
-        disc_payload = _section(payload["discretizer"], "discretizer")
+        disc_payload = _section(payload["discretizer"], "discretizer",
+                                ("square_tolerance", "idle_speed", "classes"))
         for name, constant in (("square_tolerance", SQUARE_TOLERANCE), ("idle_speed", IDLE_SPEED)):
             if disc_payload[name] != constant:
                 raise ValueError(f"bundle field discretizer.{name} must be {constant}, "
                                  f"not {disc_payload[name]!r}")
         per_class, stat_names = {}, [f.name for f in fields(ClassStats)]
         for cid, stats in _section(disc_payload["classes"], "discretizer.classes").items():
-            if _section(stats, f"discretizer.classes.{cid}").keys() != set(stat_names):
-                raise ValueError(f"bundle field discretizer.classes.{cid} must have the keys "
-                                 f"{', '.join(stat_names)}")
             per_class[_check_integer(cid, "bundle field discretizer.classes key", key=True)] = \
-                ClassStats(**stats)
+                ClassStats(**_section(stats, f"discretizer.classes.{cid}", stat_names))
         discretizer = _check_discretizer(DiscretizationModel(per_class))
         granularities = []
         for i, g in enumerate(_items(payload["granularities"], "granularities")):
             where = f"granularities[{i}]"
-            g = _section(g, where)
+            g = _section(g, where, ("cell_size", "cpts"))
             grid = build_grid(resolution, _check_integer(g["cell_size"],
                                                          f"bundle field {where}.cell_size"))
             dag = bn.build_structure(kind, cell_count=grid.cell_count, class_count=len(per_class))
@@ -668,20 +715,12 @@ def bundle_from_dict(payload: dict) -> ModelBundle:
             if tables.keys() != set(dag.names):
                 raise ValueError(f"bundle field {where}.cpts must hold one CPT for each of "
                                  f"{', '.join(dag.names)} (kind {kind!r}), not {', '.join(tables)}")
-            cpts = []
-            for child in dag.names:
-                at = f"{where}.cpts.{child}"
-                c = _section(tables[child], at)
-                parents = dag.parents(child)
-                cpts.append(bn.Cpt(child, parents, tuple(map(dag.cardinality, parents)),
-                                   _array(c["table"], float, 2, f"{at}.table"),
-                                   _array(c["observed"], bool, 1, f"{at}.observed")))
-            granularities.append(GranularityModel(grid, bn.BayesNet(dag, tuple(cpts))))
-        cutoffs = _section(payload["thresholds"], "thresholds")
+            cpts = tuple(_cpt(tables[child], f"{where}.cpts.{child}", child, dag)
+                         for child in dag.names)
+            granularities.append(GranularityModel(grid, bn.BayesNet(dag, cpts)))
+        cutoffs = _section(payload["thresholds"], "thresholds", ("person", "other"))
         return ModelBundle(kind, resolution, discretizer, tuple(granularities), fusion, sigma,
                            box_mode, ConfidenceThresholds(cutoffs["person"], cutoffs["other"]))
-    except KeyError as exc:
-        raise ValueError(f"bundle is missing {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ValueError(f"bundle has a field of the wrong type: {exc}") from None
 

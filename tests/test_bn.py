@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +67,7 @@ class TestBuildStructure:
             assert dag.nodes == tuple((n, cards[n]) for n in parents)
             assert {n: dag.parents(n) for n in dag.names} == parents
             assert set(dag.edges) == {(p, n) for n, ps in parents.items() for p in ps}
-        assert pipeline.BUNDLE_VERSION == 2
+        assert pipeline.BUNDLE_VERSION == 3
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -395,6 +397,21 @@ class TestLeaveOneOut:
 
 
 class TestCptValidation:
+    def test_replaced_unobserved_row_must_stay_uniform(self):
+        dag = bn.Dag((("A", 2), ("B", 4)), (("A", "B"),))
+        cpt = bn.fit_mle(dag, {"A": np.array([0, 0]), "B": np.array([1, 3])}).cpt("B")
+        table = cpt.table.copy()
+        table[1] = [0.5, 0.5, 0.0, 0.0]
+        with pytest.raises(ValueError, match=re.escape("unobserved row of the CPT for B is "
+                                                       "not uniform (1/4 in each value)")):
+            replace(cpt, table=table)
+        # the same row may hold it once it is marked observed
+        assert replace(cpt, table=table, observed=np.ones(2, dtype=bool)).table[1, 0] == 0.5
+
+    def test_observed_mask_must_be_boolean(self):
+        with pytest.raises(ValueError, match="observed mask of CPT for X"):
+            bn.Cpt("X", ("P",), (2,), np.full((2, 2), 0.5), np.ones(2, dtype=int))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_probability_names_the_child(self, bad):
         table = np.array([[0.5, 0.5], [bad, 0.5]])

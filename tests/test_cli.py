@@ -52,6 +52,16 @@ class TestPipelineComposition:
         assert manifest["config"]["cells"] == [40, 80]
         assert "gridvad" in manifest["versions"]
 
+    def test_train_manifest_counts_the_rows_the_bundle_stores(self, workspace):
+        manifest = json.loads((workspace / "model.bundle.manifest.json").read_text())
+        stored = json.loads((workspace / "model.bundle").read_text())["granularities"]
+        bundle = pipeline.load_bundle(workspace / "model.bundle")
+        assert manifest["timings"]["observed_rows"] == {
+            str(gran.grid.cell_size): {
+                child: [len(cpt["observed"]), len(gran.net.cpt(child).observed)]
+                for child, cpt in g["cpts"].items()}
+            for gran, g in zip(bundle.granularities, stored, strict=True)}
+
     def test_score_manifest_records_inference_averages(self, workspace):
         manifest = json.loads((workspace / "scores.jsonl.manifest.json").read_text())
         for key in ("score_seconds", "write_seconds", "per_cell_seconds_mean",
@@ -286,11 +296,27 @@ def _rename_class(key):
 
 
 def _drop_grid_to_velocity(bundle):
-    """Store P(V | C), the table of a network without the G->V edge, as V's CPT."""
+    """Store P(V | C), the table of a network without the G->V edge, as V's CPT.
+
+    One row per class at indices 0 .. classes - 1 reads as the rows of cell 0,
+    P(V | G = 0, C), a valid table of the present layout: what refuses the
+    table of another layout is the version that layout was written under."""
     classes = len(bundle["discretizer"]["classes"])
     velocity = _cpts(bundle)["V"]
-    # the rows of cell 0, one per class: P(V | C) as P(V | G = 0, C)
-    velocity.update(table=velocity["table"][:classes], observed=velocity["observed"][:classes])
+    velocity.update(table=velocity["table"][:classes], observed=list(range(classes)))
+    bundle["version"] = 2
+
+
+_BS_INDICES = "cpts.BS.observed must list row indices in [0, "
+
+
+def _set_bs_index(position, value):
+    """Set one stored row index of P(BS | G, C) to ``value(indices, row count)``."""
+    def corrupt(bundle):
+        rows = len(_cpts(bundle)["G"]["table"][0]) * len(bundle["discretizer"]["classes"])
+        indices = _cpts(bundle)["BS"]["observed"]
+        indices[position] = value(indices, rows)
+    return corrupt
 
 
 def _nan_cell_probability(bundle):
@@ -300,11 +326,11 @@ def _nan_cell_probability(bundle):
 
 class TestBundleValidation:
     @pytest.mark.parametrize("corrupt,field", [
-        (_drop_class, "CPT for BS has shape"),
-        (_add_class, "CPT for BS has shape"),
+        (_drop_class, "cpts.C.table must hold rows of length 1"),
+        (_add_class, "cpts.C.table must hold rows of length 3"),
         (lambda b: b["discretizer"]["classes"].clear(), "discretizer lists no class"),
-        (lambda b: b.update(resolution=[1280, 720]), "CPT for I has shape"),
-        (_set_cell_size(39), "CPT for I has shape"),
+        (lambda b: b.update(resolution=[1280, 720]), "cpts.G.table must hold rows of length 576"),
+        (_set_cell_size(39), "cpts.G.table must hold rows of length 170"),
         (lambda b: b["granularities"][0].pop("cpts"), "'cpts'"),
         (lambda b: b.pop("thresholds"), "'thresholds'"),
         (lambda b: b["granularities"][0].update(cpts=[]),
@@ -321,7 +347,7 @@ class TestBundleValidation:
         (lambda b: b.update(smoothing_sigma=-3.0), "smoothing_sigma"),
         (lambda b: b.update(smoothing_sigma=float("nan")), "smoothing_sigma"),
         (lambda b: b.update(smoothing_sigma=True), "smoothing_sigma"),
-        (_drop_grid_to_velocity, "CPT for V has shape"),
+        (_drop_grid_to_velocity, "unsupported bundle version 2"),
         (lambda b: b.update(discretizer=[]), "field discretizer must be an object"),
         (_set_discretizer("square_tolerance", 0.2), "discretizer.square_tolerance"),
         (_set_discretizer("square_tolerance", -1), "discretizer.square_tolerance"),
@@ -346,10 +372,34 @@ class TestBundleValidation:
         (lambda b: b.update(granularities=[]), "granularities lists no granularity"),
         (lambda b: b.update(granularities={}), "field granularities must be an array"),
         (lambda b: b["resolution"].append(1), "field resolution must be an array of 2 items"),
-        (_set_class_stat("extra", 1.0), "field discretizer.classes.1 must have"),
+        (_set_class_stat("extra", 1.0), "unknown bundle field discretizer.classes.1.extra"),
         (lambda b: b.update(version=1), "unsupported bundle version 1: this gridvad reads "
-                                        "version 2; retrain the model"),
-        (lambda b: _cpts(b)["BS"]["observed"].pop(), "observed mask of CPT for BS has shape"),
+                                        "version 3; retrain the model"),
+        (lambda b: b.update(version=2), "unsupported bundle version 2: this gridvad reads "
+                                        "version 3; retrain the model"),
+        (lambda b: _cpts(b)["BS"]["observed"].pop(), "cpts.BS.table must be an array of"),
+        (lambda b: b.update(class_ids=[99]), "unknown bundle field class_ids"),
+        (lambda b: b["granularities"][0].update(grid={"cols": 1}),
+         "unknown bundle field granularities[0].grid"),
+        (lambda b: b["thresholds"].update(car=0.5), "unknown bundle field thresholds.car"),
+        (lambda b: b["discretizer"].update(bins=[]), "unknown bundle field discretizer.bins"),
+        (lambda b: _cpts(b)["BS"].update(rows=2),
+         "unknown bundle field granularities[0].cpts.BS.rows"),
+        (lambda b: _cpts(b)["BS"].pop("observed"), "'observed' in granularities[0].cpts.BS"),
+        (lambda b: _cpts(b)["BS"]["observed"].reverse(), _BS_INDICES),
+        (_set_bs_index(1, lambda indices, rows: indices[0]), _BS_INDICES),
+        (_set_bs_index(0, lambda indices, rows: -1), _BS_INDICES),
+        (_set_bs_index(-1, lambda indices, rows: rows), _BS_INDICES),
+        (_set_bs_index(0, lambda indices, rows: indices[0] + 0.5),
+         "BS.observed[0] must be an integer, not "),
+        (_set_bs_index(0, lambda indices, rows: True),
+         "BS.observed[0] must be an integer, not True"),
+        (_set_bs_index(0, lambda indices, rows: str(indices[0])),
+         "BS.observed[0] must be an integer, not '"),
+        (lambda b: _cpts(b)["BS"]["table"].append(_cpts(b)["BS"]["table"][0]),
+         "cpts.BS.table must be an array of"),
+        (lambda b: [row.pop() for row in _cpts(b)["BS"]["table"]],
+         "cpts.BS.table must hold rows of length 5 (the cardinality of BS), not 4"),
     ], ids=["class-ids-short", "class-ids-long", "class-ids-empty", "grid-resolution",
             "grid-cell-size", "missing-cpts", "missing-thresholds", "cpts-not-object",
             "null-table", "cpts-extra-node", "cpts-missing-node", "repeated-cell-size",
@@ -362,7 +412,12 @@ class TestBundleValidation:
             "cell-size-zero", "class-ids-text", "resolution-float", "class-key-fraction",
             "granularity-cell-size-other", "granularity-cell-size-missing",
             "granularities-empty", "granularities-object", "resolution-three-items",
-            "class-stats-extra-key", "version-1", "observed-short"])
+            "class-stats-extra-key", "version-1", "version-2", "observed-short",
+            "top-level-unknown-key", "granularity-unknown-key", "thresholds-unknown-key",
+            "discretizer-unknown-key", "cpt-unknown-key", "cpt-missing-observed",
+            "indices-unsorted", "index-repeated", "index-negative", "index-at-row-count",
+            "index-fraction", "index-bool", "index-text", "table-row-too-many",
+            "table-row-width"])
     def test_inconsistent_bundle_is_usage_error(self, workspace, tmp_path, capsys,
                                                 corrupt, field):
         bundle = json.loads((workspace / "model.bundle").read_text())

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridvad import bn, pipeline
 from gridvad.featurize import BOX_MODES, DiscretizationModel, box_center, generate_observations
@@ -15,6 +16,7 @@ from gridvad.pipeline import (
     REASON_UNSEEN_CLASS,
     FrameScores,
     TrainConfig,
+    bundle_from_dict,
     bundle_to_dict,
     fuse,
     gaussian_smooth,
@@ -45,6 +47,13 @@ def mini_tracks():
 @pytest.fixture(scope="module")
 def mini_bundle():
     return train(TrainConfig(cell_sizes=(40,)), mini_tracks())
+
+
+@pytest.fixture(scope="module")
+def mini_bundles():
+    """The mini scene trained at two cell sizes, by kind."""
+    return {kind: train(TrainConfig(cell_sizes=(40, 80), kind=kind), mini_tracks())
+            for kind in ("spatial", "spatiotemporal")}
 
 
 class TestTrainConfig:
@@ -85,6 +94,18 @@ class TestTrain:
         train(TrainConfig(cell_sizes=(40, 80)), mini_tracks(), timings=timings)
         assert set(timings["fit_seconds"]) == {"40", "80"}
         assert all(v >= 0 for v in timings["fit_seconds"].values())
+
+    def test_timings_count_observed_rows_of_each_cpt(self):
+        timings = {}
+        bundle = train(TrainConfig(cell_sizes=(40, 80)), mini_tracks(), timings=timings)
+        assert timings["observed_rows"] == {
+            str(g.grid.cell_size): {cpt.child: [np.count_nonzero(cpt.observed), len(cpt.observed)]
+                                    for cpt in g.net.cpts}
+            for g in bundle.granularities}
+        # training observes some rows of every CPT, and not all rows of P(I | G, BS, BAR)
+        for counts in timings["observed_rows"].values():
+            assert all(0 < observed <= rows for observed, rows in counts.values())
+            assert counts["I"][0] < counts["I"][1]
 
 
 class TestFusion:
@@ -205,12 +226,14 @@ class TestSharedPosteriors:
         """A 16-cell object whose per-cell mean depends on the summation order."""
         bundle = train(TrainConfig(cell_sizes=(20,), box_mode="whole"), mini_tracks())
         gran = bundle.granularities[0]
-        # random positive CPTs make every cell's class posterior possible and distinct
+        # random positive CPTs make every cell's class posterior possible and distinct;
+        # every row is marked observed, since an unobserved row must stay uniform
         rng = np.random.default_rng(0)
         cpts = []
         for cpt in gran.net.cpts:
             table = rng.random(cpt.table.shape) + 0.05
-            cpts.append(replace(cpt, table=table / table.sum(axis=1, keepdims=True)))
+            cpts.append(replace(cpt, table=table / table.sum(axis=1, keepdims=True),
+                                observed=np.ones_like(cpt.observed)))
         net = bn.BayesNet(gran.net.dag, tuple(cpts))
         bundle = replace(bundle, granularities=(replace(gran, net=net),))
         det = TrackedDetection(1, 5, 3, (0.0, 0.0, 160.0, 40.0), 0.9)
@@ -347,7 +370,34 @@ class TestBundleSerialization:
         for gran, stored in zip(mini_bundle.granularities, payload["granularities"], strict=True):
             assert list(stored) == ["cell_size", "cpts"]
             assert list(stored["cpts"]) == list(gran.net.dag.names)
-            assert all(list(cpt) == ["table", "observed"] for cpt in stored["cpts"].values())
+            assert all(list(cpt) == ["observed", "table"] for cpt in stored["cpts"].values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["spatial", "spatiotemporal"]), seed=st.integers(0, 2**32 - 1),
+           share=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    def test_file_holds_the_observed_rows_exactly(self, mini_bundles, kind, seed, share):
+        """Any observed mask and any observed rows come back bit for bit, from a file
+        that stores ``observed.sum()`` rows per CPT (none at share 0)."""
+        bundle = _with_random_rows(mini_bundles[kind], np.random.default_rng(seed), share)
+        payload = json.loads(json.dumps(bundle_to_dict(bundle)))
+        loaded = bundle_from_dict(payload)
+        for gran, stored, back in zip(bundle.granularities, payload["granularities"],
+                                      loaded.granularities, strict=True):
+            for cpt, again in zip(gran.net.cpts, back.net.cpts, strict=True):
+                rows = stored["cpts"][cpt.child]
+                assert rows["observed"] == np.flatnonzero(cpt.observed).tolist()
+                assert len(rows["table"]) == cpt.observed.sum()
+                assert again.table.tobytes() == cpt.table.tobytes()
+                assert np.array_equal(again.observed, cpt.observed)
+        assert bundle_to_dict(loaded) == payload
+
+    def test_cpt_without_observed_rows_loads_uniform(self, mini_bundle):
+        # fit_mle never makes one, but bn.Cpt allows it
+        payload = bundle_to_dict(mini_bundle)
+        payload["granularities"][0]["cpts"]["BS"] = {"observed": [], "table": []}
+        cpt = bundle_from_dict(payload).granularities[0].net.cpt("BS")
+        assert not cpt.observed.any()
+        assert np.array_equal(cpt.table, np.full(cpt.table.shape, 0.2))
 
     def test_rejects_foreign_payload(self, tmp_path):
         path = tmp_path / "bad.bundle"
@@ -359,6 +409,24 @@ class TestBundleSerialization:
         thresholds = ConfidenceThresholds(0.41, 0.37)
         bundle = train(TrainConfig(cell_sizes=(40,)), mini_tracks(), thresholds)
         assert bundle.thresholds == thresholds
+
+
+def _with_random_rows(bundle, rng, share):
+    """The bundle with a random ``share`` of each CPT's rows observed, each such row a
+    random distribution with some exact zeros, every other row uniform."""
+    granularities = []
+    for gran in bundle.granularities:
+        cpts = []
+        for cpt in gran.net.cpts:
+            observed = rng.random(len(cpt.observed)) < share
+            drawn = rng.random((observed.sum(), cpt.table.shape[1]))
+            drawn[drawn < 0.2] = 0.0
+            drawn[:, 0] += 1e-3
+            table = np.full(cpt.table.shape, 1.0 / cpt.table.shape[1])
+            table[observed] = drawn / drawn.sum(axis=1, keepdims=True)
+            cpts.append(replace(cpt, table=table, observed=observed))
+        granularities.append(replace(gran, net=bn.BayesNet(gran.net.dag, tuple(cpts))))
+    return replace(bundle, granularities=tuple(granularities))
 
 
 def _with_class_stat(bundle, **stat):

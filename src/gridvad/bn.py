@@ -3,7 +3,10 @@
 A network is a DAG over finite random variables plus one conditional
 probability table (CPT) per node. Fitting is plain maximum likelihood:
 P(child = x | parents = pi) = count(x, pi) / count(pi), with parent
-configurations never seen in training flagged and filled uniformly.
+configurations never seen in training flagged and filled uniformly. The
+integer counts (``count_observations``) add across chunks of a table, so
+a table too large to hold can be counted a chunk at a time and fitted
+once (``fit_counts``); ``fit_mle`` does both on a table held whole.
 
 Posterior queries are exact. ``leave_one_out`` answers P(X | every other
 variable) for several X of one full assignment from a single reduction of
@@ -229,44 +232,67 @@ class Posterior:
     impossible: bool = False
 
 
-def fit_mle(dag: Dag, data: Mapping[str, np.ndarray]) -> BayesNet:
-    """Maximum-likelihood CPTs from integer-coded observation columns.
+def count_observations(dag: Dag, data: Mapping[str, np.ndarray],
+                       total: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Per-node (parent configurations x values) int64 counts of code columns.
 
-    Every DAG node needs a column of codes in [0, cardinality). One pass of
-    mixed-radix binning and counting per node; identical tables produce
-    bit-identical CPTs.
+    Every DAG node needs a column of codes in [0, cardinality). Counts add:
+    passing the counts of earlier rows as ``total`` returns the counts of
+    both, so a table counted in chunks gives the counts of the whole.
     """
     missing = [n for n in dag.names if n not in data]
     if missing:
         raise FitError(f"observation table lacks columns for {missing}")
     columns = {name: np.asarray(data[name], dtype=np.int64) for name in dag.names}
-    lengths = {col.shape[0] for col in columns.values()}
-    if len(lengths) != 1:
+    if len({col.shape[0] for col in columns.values()}) != 1:
         raise FitError("observation columns have mismatched lengths")
-    n_rows = lengths.pop()
-    if n_rows == 0:
-        raise FitError("cannot fit on an empty observation table")
     for name, card in dag.nodes:
         col = columns[name]
-        if col.min() < 0 or col.max() >= card:
+        if col.size and (col.min() < 0 or col.max() >= card):
             raise FitError(f"column {name} holds codes outside [0, {card})")
-    cpts = []
+    counts = {}
     for name, card in dag.nodes:
         parents = dag.parents(name)
         parent_cards = tuple(dag.cardinality(p) for p in parents)
         # a root's one parent configuration is row 0, the ravel of no indices
         rows = np.ravel_multi_index(tuple(columns[p] for p in parents), parent_cards)
         n_configs = math.prod(parent_cards)
-        counts = np.bincount(rows * card + columns[name],
-                             minlength=n_configs * card).astype(float)
-        counts = counts.reshape(n_configs, card)
-        totals = counts.sum(axis=1)
+        counts[name] = np.bincount(rows * card + columns[name],
+                                   minlength=n_configs * card).reshape(n_configs, card)
+    if total is not None:
+        for name in dag.names:
+            counts[name] += total[name]
+    return counts
+
+
+def fit_counts(dag: Dag, counts: Mapping[str, np.ndarray]) -> BayesNet:
+    """Maximum-likelihood CPTs from ``count_observations``' counts.
+
+    P(child = x | parents = pi) = count(x, pi) / count(pi); a row without
+    counts is unobserved and uniform. Equal counts give bit-identical CPTs.
+    """
+    cpts = []
+    for name, card in dag.nodes:
+        table = counts[name].astype(float)
+        if not table.any():
+            raise FitError("cannot fit on an empty observation table")
+        totals = table.sum(axis=1)
         seen = totals > 0
-        table = np.empty_like(counts)
-        table[seen] = counts[seen] / totals[seen, None]
+        table[seen] /= totals[seen, None]
         table[~seen] = 1.0 / card
-        cpts.append(Cpt(name, parents, parent_cards, table, seen))
+        parents = dag.parents(name)
+        cpts.append(Cpt(name, parents, tuple(dag.cardinality(p) for p in parents), table, seen))
     return BayesNet(dag, tuple(cpts))
+
+
+def fit_mle(dag: Dag, data: Mapping[str, np.ndarray]) -> BayesNet:
+    """Maximum-likelihood CPTs from integer-coded observation columns.
+
+    One pass of mixed-radix binning and counting per node
+    (``count_observations``), then the frequencies (``fit_counts``);
+    identical tables produce bit-identical CPTs.
+    """
+    return fit_counts(dag, count_observations(dag, data))
 
 
 def _integer(var: str, value) -> int:

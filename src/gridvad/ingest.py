@@ -38,6 +38,9 @@ MAX_CLASS_ID = 80
 
 # Lines decoded at a time: parsing never holds more decoded rows than this.
 CHUNK_LINES = 1024
+# Detections featurized at a time in training (pipeline.train): it never
+# holds the observation rows of more detections than this.
+CHUNK_DETECTIONS = 4096
 
 Box = tuple[float, float, float, float]
 
@@ -246,11 +249,22 @@ def _open_text(source, mode: str = "r"):
     return nullcontext(source)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object as a dict; an ``object_pairs_hook`` that refuses
+    a repeated key, which ``json`` would otherwise settle by keeping the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"JSON object repeats the key {repeated!r}")
+    return obj
+
+
 def _parse_header(line: str, lineno: int) -> tuple[tuple[int, int], int]:
     try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TrackFileError(f"bad header: {exc.msg}", lineno) from None
+        header = json.loads(line, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # a JSONDecodeError, or a repeated key
+        raise TrackFileError(f"bad header: {getattr(exc, 'msg', exc)}", lineno) from None
     names = ("width", "height", "frames")
     if type(header) is not dict or not header.keys() >= set(names):
         raise TrackFileError("header must declare integer width, height and frames", lineno)

@@ -3,7 +3,8 @@
 ``train`` fits one discretizer and one network per grid granularity and
 wraps them into a :class:`ModelBundle`, whose file (``save_bundle``)
 stores each fact once and, of each CPT, only the rows training observed;
-its observation tables are the integer code columns of the featurizer.
+it counts the featurizer's integer code columns a chunk of detections at
+a time and fits each network once from the summed counts.
 ``score_frames`` featurizes a test stream once into the same code
 columns, queries the bundle, fuses granularities, reduces objects to
 frame scores and smooths them over time. Within one stream each distinct (granularity, evidence) key is
@@ -33,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import bn
+from . import bn, ingest
 from .featurize import (
     BOX_MODE_BOTTOM,
     BOX_MODES,
@@ -57,7 +58,7 @@ from .featurize import (
 )
 from .ingest import (BOX, INTEGER, NUMBER, ColumnTable, ConfidenceThresholds, TrackSet,
                      TrackedDetection, _first_nonfinite, _json_columns, _json_values,
-                     _read_chunks, _row_error, _sorted_repeats)
+                     _read_chunks, _row_error, _sorted_repeats, _unique_keys)
 
 BUNDLE_FORMAT = "gridvad-bundle"
 BUNDLE_VERSION = 3  # bump on any change to the layout bn.build_structure decides
@@ -344,14 +345,20 @@ def train(config: TrainConfig, train_tracks: TrackSet,
           thresholds: ConfidenceThresholds | None = None,
           timings: dict | None = None,
           tables: dict | None = None) -> ModelBundle:
-    """Fit discretizer, observation tables and one network per cell size.
+    """Fit discretizer, observation counts and one network per cell size.
 
     ``train_tracks`` must already be confidence-filtered and frame-sliced;
     the thresholds used for filtering ride along in the bundle so scoring
-    can apply the identical cut-offs to test streams. Passing a dict as
-    ``timings`` records per-granularity fit seconds, observation counts and,
-    per CPT, ``[observed rows, rows]`` (the rows the bundle file stores, of
-    all); passing one as ``tables`` collects each cell size's ObservationTable.
+    can apply the identical cut-offs to test streams. Each granularity
+    featurizes the stream ``ingest.CHUNK_DETECTIONS`` detections at a time
+    and adds each chunk's counts (``bn.count_observations``) before its one
+    fit (``bn.fit_counts``), so no more than one chunk's observation table
+    is held at once; integer counts add exactly, so the chunk size cannot
+    change a bundle bit. Passing a dict as ``timings`` records
+    per-granularity seconds (featurize, count and fit), observation counts,
+    per CPT ``[observed rows, rows]`` (the rows the bundle file stores, of
+    all) and observations per cell; passing one as ``tables`` collects each
+    cell size's ObservationTable, the chunks' rows joined.
     """
     if not train_tracks.detections:
         raise bn.FitError("cannot train on an empty track set")
@@ -359,29 +366,47 @@ def train(config: TrainConfig, train_tracks: TrackSet,
     stream = stream_columns(train_tracks.detections, SPATIOTEMPORAL)
     discretizer = fit_discretizer(train_tracks, stream)
     class_ids = tuple(sorted(discretizer.per_class))
+    chunk = ingest.CHUNK_DETECTIONS
+    # a slice keeps ``prev`` as indices into the whole stream; it holds because
+    # featurizing reads ``prev`` only as ``prev < 0``
+    parts = [StreamColumns(*(column[start:start + chunk] for column in stream))
+             for start in range(0, len(stream.frame), chunk)]
     fit_seconds: dict[str, float] = {}
     observations: dict[str, int] = {}
     observed_rows: dict[str, dict[str, list[int]]] = {}
+    cell_observations: dict[str, dict] = {}
     granularities = []
     for cell_size in sorted(set(config.cell_sizes)):
+        started = time.perf_counter()
         grid = build_grid(train_tracks.resolution, cell_size)
-        table = generate_observations(train_tracks, grid, discretizer,
-                                      config.kind, config.box_mode, stream)
         dag = bn.build_structure(config.kind, cell_count=grid.cell_count,
                                  class_count=len(class_ids))
-        started = time.perf_counter()
-        net = bn.fit_mle(dag, observation_columns(table, class_ids))
+        counts, rows = None, []
+        for part in parts:
+            table = generate_observations(train_tracks, grid, discretizer,
+                                          config.kind, config.box_mode, part)
+            counts = bn.count_observations(dag, observation_columns(table, class_ids), counts)
+            if tables is not None:
+                rows.append(table.rows)
+        net = bn.fit_counts(dag, counts)
         fit_seconds[str(cell_size)] = time.perf_counter() - started
-        observations[str(cell_size)] = len(table.rows)
+        per_cell = counts["G"][0]  # G is a root: its one row counts each cell's observations
+        entered = per_cell[per_cell > 0]
+        empty = len(per_cell) - len(entered)
+        observations[str(cell_size)] = int(per_cell.sum())
         observed_rows[str(cell_size)] = {cpt.child: [int(cpt.observed.sum()), len(cpt.observed)]
                                          for cpt in net.cpts}
+        cell_observations[str(cell_size)] = {
+            "cells": len(per_cell), "empty_cells": empty, "empty_share": empty / len(per_cell),
+            "median": float(np.median(entered)), "max": int(entered.max())}
         if tables is not None:
-            tables[cell_size] = table
+            tables[cell_size] = ObservationTable(config.kind, np.concatenate(rows))
         granularities.append(GranularityModel(grid, net))
     if timings is not None:
         timings["fit_seconds"] = fit_seconds
         timings["observations"] = observations
         timings["observed_rows"] = observed_rows
+        timings["cell_observations"] = cell_observations
     return ModelBundle(config.kind, train_tracks.resolution, discretizer,
                        tuple(granularities), config.fusion, config.smoothing_sigma,
                        config.box_mode, thresholds or ConfidenceThresholds())
@@ -730,7 +755,8 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
-    return bundle_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return bundle_from_dict(json.loads(Path(path).read_text(encoding="utf-8"),
+                                       object_pairs_hook=_unique_keys))
 
 
 # ---------------------------------------------------------------------------

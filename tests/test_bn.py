@@ -161,6 +161,35 @@ class TestFitMle:
                         assert log_likelihood(bn.BayesNet(net.dag, tuple(cpts))) <= base + 1e-9
 
 
+class TestCountsAdd:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_counts_over_a_random_split_equal_the_one_shot_counts(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        dag = random_net(rng).dag
+        n = int(rng.integers(1, 300))
+        data = {name: rng.integers(0, card, n) for name, card in dag.nodes}
+        # cut points may repeat, so some chunks are empty
+        cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(1, 6))))
+        total = None
+        for start, stop in zip([0, *cuts], [*cuts, n]):
+            total = bn.count_observations(dag, {k: v[start:stop] for k, v in data.items()},
+                                          total)
+        whole = bn.count_observations(dag, data)
+        assert total.keys() == whole.keys() == set(dag.names)
+        for name in dag.names:
+            assert total[name].dtype == np.int64
+            assert np.array_equal(total[name], whole[name])
+        split, one_shot = bn.fit_counts(dag, total), bn.fit_mle(dag, data)
+        for a, b in zip(split.cpts, one_shot.cpts, strict=True):
+            assert np.array_equal(a.table, b.table) and np.array_equal(a.observed, b.observed)
+
+    def test_counts_are_hand_counts(self):
+        dag = bn.Dag((("A", 2), ("B", 3)), (("A", "B"),))
+        counts = bn.count_observations(dag, {"A": np.array([1, 1, 0]), "B": np.array([2, 0, 2])})
+        assert counts["A"].tolist() == [[1, 2]]
+        assert counts["B"].tolist() == [[0, 0, 1], [1, 0, 1]]
+
+
 class TestEliminate:
     def chain(self):
         dag = bn.Dag((("A", 2), ("B", 3)), (("A", "B"),))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gridvad import bn, cli, explain, pipeline
+from gridvad import bn, cli, explain, ingest, pipeline
 from gridvad.cli import main
 from gridvad.featurize import generate_observations
 from gridvad.ingest import (compute_confidence_thresholds, filter_detections, parse_tracks,
@@ -122,6 +122,34 @@ class TestPipelineComposition:
             dump = Path(f"{tmp_path / 'obs'}.{gran.grid.cell_size}.csv")
             assert dump.read_bytes() == expected.getvalue().encode()
 
+    def test_observation_dump_joins_the_training_chunks(self, workspace, monkeypatch,
+                                                         tmp_path):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].cell_size)
+            return generate_observations(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate_observations", counting)
+        monkeypatch.setattr(ingest, "CHUNK_DETECTIONS", 1000)
+        tracks = workspace / "data" / "train_tracks.jsonl"
+        assert run_cli("train", "--tracks", tracks, "--cells", "40,80", "--slice", "3",
+                       "--out", tmp_path / "m.bundle",
+                       "--dump-observations", tmp_path / "obs") == 0
+        # 3,035 detections after slicing: four chunks per cell size
+        assert calls == [40] * 4 + [80] * 4
+        assert (tmp_path / "m.bundle").read_bytes() == (workspace / "model.bundle").read_bytes()
+        parsed = parse_tracks(tracks)
+        prepared = slice_frames(filter_detections(parsed, compute_confidence_thresholds(parsed)),
+                                3)
+        bundle = pipeline.load_bundle(tmp_path / "m.bundle")
+        for gran in bundle.granularities:
+            expected = io.StringIO(newline="")
+            generate_observations(prepared, gran.grid, bundle.discretizer, bundle.kind,
+                                  bundle.box_mode).write_csv(expected)
+            dump = Path(f"{tmp_path / 'obs'}.{gran.grid.cell_size}.csv")
+            assert dump.read_bytes() == expected.getvalue().encode()
+
     def test_explain_writes_breakdowns(self, workspace):
         scores = [json.loads(l) for l in (workspace / "scores.jsonl").read_text().splitlines()]
         anomalous = next(r for r in scores if "score" in r and r["score"] == 0.0)
@@ -155,6 +183,13 @@ class TestExitCodes:
         bad.write_text('{"width": 640.9, "height": "360", "frames": true}\n')
         assert run_cli("train", "--tracks", bad) == 1
         assert "line 1: header width must be a 64-bit integer" in capsys.readouterr().err
+
+    def test_header_with_a_repeated_key_is_runtime_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"width": 320, "width": 640, "height": 360, "frames": 10}\n')
+        assert run_cli("train", "--tracks", bad) == 1
+        assert ("line 1: bad header: JSON object repeats the key 'width'"
+                in capsys.readouterr().err)
 
     def test_malformed_ground_truth_is_runtime_error(self, workspace, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
@@ -428,6 +463,24 @@ class TestBundleValidation:
         assert run_cli("score", "--model", bad, "--out", out,
                        "--tracks", workspace / "data" / "test_tracks.jsonl") == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,first", [
+        ("thresholds", '{"person": 0.99, "other": 0.99}'),
+        ("table", "[[1.0]]"),
+    ], ids=["thresholds", "cpt-table"])
+    def test_repeated_key_is_usage_error(self, workspace, tmp_path, capsys, key, first):
+        text = (workspace / "model.bundle").read_text()
+        at = text.index(f'"{key}": ')
+        repeated = f'{text[:at]}"{key}": {first}, {text[at:]}'
+        # plain json keeps the last of the two: only the repetition is wrong
+        assert json.loads(repeated) == json.loads(text)
+        bad = tmp_path / "bad.bundle"
+        bad.write_text(repeated)
+        out = tmp_path / "scores.jsonl"
+        assert run_cli("score", "--model", bad, "--out", out,
+                       "--tracks", workspace / "data" / "test_tracks.jsonl") == 2
+        assert f"JSON object repeats the key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -113,10 +113,13 @@ class TestParseTracks:
         ({"width": 640, "height": 360}, "must declare integer width, height and frames"),
         ([640, 360, 100], "must declare integer width, height and frames"),
         ({"width": 640, "height": 0, "frames": 100}, "must be positive"),
+        ('{"width": 640, "height": 360, "width": 640, "frames": 100}',
+         "bad header: JSON object repeats the key 'width'"),
     ], ids=["integral-float-and-string", "float-string", "fraction", "bool", "missing-field",
-            "not-object", "zero"])
+            "not-object", "zero", "repeated-key"])
     def test_header_fields_follow_the_row_integer_rule(self, header, outcome):
-        for text in (json.dumps(header), "# " + json.dumps(header)):
+        header = header if isinstance(header, str) else json.dumps(header)
+        for text in (header, "# " + header):
             stream = io.StringIO(text + "\n")
             fmt = "mot" if text.startswith("#") else "jsonl"
             if isinstance(outcome, tuple):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridvad import bn, pipeline
-from gridvad.featurize import BOX_MODES, DiscretizationModel, box_center, generate_observations
+from gridvad import bn, ingest, pipeline
+from gridvad.featurize import (BOX_MODES, SPATIOTEMPORAL, DiscretizationModel, box_center,
+                               generate_observations, stream_columns)
 from gridvad.ingest import (ConfidenceThresholds, TrackFileError, TrackSet, TrackedDetection,
                             filter_detections)
 from gridvad.pipeline import (
@@ -30,6 +32,7 @@ from gridvad.pipeline import (
     train,
     write_scores,
 )
+from gridvad.synth import generate_scene, reference_script
 from oracles import with_predecessors
 
 
@@ -106,6 +109,73 @@ class TestTrain:
         for counts in timings["observed_rows"].values():
             assert all(0 < observed <= rows for observed, rows in counts.values())
             assert counts["I"][0] < counts["I"][1]
+
+    def test_timings_count_observations_per_cell(self):
+        timings = {}
+        train(TrainConfig(cell_sizes=(40, 80)), mini_tracks(), timings=timings)
+        # by hand: the walker's bottom edge lies in row 1 of the 40 px grid (4 x 3
+        # cells), in cell 4 on all 8 frames and also in cell 5 on the last 2; the
+        # car's lies in cells 9 and 10 on all 8. On the 80 px grid (2 x 2) the
+        # walker is in cell 0 and the car in cells 2 and 3; cell 1 is never entered.
+        assert timings["cell_observations"] == {
+            "40": {"cells": 12, "empty_cells": 8, "empty_share": 8 / 12,
+                   "median": 8.0, "max": 8},
+            "80": {"cells": 4, "empty_cells": 1, "empty_share": 0.25,
+                   "median": 8.0, "max": 8}}
+        assert timings["observations"] == {"40": 26, "80": 24}
+
+
+def small_scene() -> TrackSet:
+    """The reference scene's training split cut to 60 frames (160 detections)."""
+    return generate_scene(replace(reference_script(), train_frames=60))[0]
+
+
+def trained_bytes(config: TrainConfig, tracks: TrackSet) -> tuple:
+    """The bundle file, the manifest counts and the observation dumps of one train run."""
+    timings, tables = {}, {}
+    bundle = train(config, tracks, timings=timings, tables=tables)
+    del timings["fit_seconds"]
+    dumps = {}
+    for cell_size, table in tables.items():
+        dumps[cell_size] = io.StringIO(newline="")
+        table.write_csv(dumps[cell_size])
+    return (json.dumps(bundle_to_dict(bundle)), timings,
+            {cs: dump.getvalue() for cs, dump in dumps.items()})
+
+
+class TestChunkedTraining:
+    """Training counts the stream a chunk of detections at a time; counts add
+    exactly, so no chunk size can change a byte."""
+
+    @pytest.mark.parametrize("kind,box_mode", [("spatiotemporal", "bottom"),
+                                               ("spatial", "whole")])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 10**9])
+    def test_chunk_size_changes_no_byte(self, monkeypatch, chunk, kind, box_mode):
+        config = TrainConfig(cell_sizes=(20, 40), kind=kind, box_mode=box_mode)
+        tracks = small_scene()
+        default = trained_bytes(config, tracks)
+        monkeypatch.setattr(ingest, "CHUNK_DETECTIONS", chunk)
+        assert trained_bytes(config, tracks) == default
+
+    def test_each_call_featurizes_one_chunk_and_the_calls_cover_the_stream(self, monkeypatch):
+        monkeypatch.setattr(ingest, "CHUNK_DETECTIONS", 7)
+        seen = []
+
+        def recording(tracks, grid, model, kind, box_mode, stream):
+            seen.append((grid.cell_size, stream))
+            return generate_observations(tracks, grid, model, kind, box_mode, stream)
+
+        monkeypatch.setattr(pipeline, "generate_observations", recording)
+        tracks = mini_tracks()
+        train(TrainConfig(cell_sizes=(40, 80)), tracks)
+        whole = stream_columns(tracks.detections, SPATIOTEMPORAL)
+        assert [cell_size for cell_size, _ in seen] == [40] * 3 + [80] * 3
+        assert [len(stream.frame) for _, stream in seen] == [7, 7, 2] * 2
+        for cell_size in (40, 80):
+            parts = [stream for cs, stream in seen if cs == cell_size]
+            for name, column in whole._asdict().items():
+                joined = np.concatenate([getattr(part, name) for part in parts])
+                assert np.array_equal(joined, column, equal_nan=column.dtype.kind == "f")
 
 
 class TestFusion:
